@@ -1,8 +1,8 @@
 # Developer entry points. `make lint` reproduces the CI lint job
-# locally: build hybridlint from its own module, run it through go vet
-# over every package, then run staticcheck and govulncheck when they
-# are installed (both are skipped with a note otherwise, so the target
-# works offline).
+# locally: check gofmt, build hybridlint from its own module, run it
+# through go vet over every package, then run staticcheck and
+# govulncheck when they are installed (both are skipped with a note
+# otherwise, so the target works offline).
 
 BIN := $(CURDIR)/bin
 
@@ -25,6 +25,8 @@ hybridlint:
 	cd tools/hybridlint && go build -o $(BIN)/hybridlint .
 
 lint: hybridlint tools-test
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v '\(^\|/\)testdata/')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
 	go vet -vettool=$(BIN)/hybridlint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

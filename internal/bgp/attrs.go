@@ -181,6 +181,7 @@ func (a *Attrs) EffectivePath() ASPath {
 
 // DecodeAttrs parses a packed path-attribute block into out, which is
 // Reset first. The input buffer is not retained.
+//
 //hybridrel:hotpath
 func DecodeAttrs(b []byte, opt Options, out *Attrs) error {
 	out.Reset()
@@ -314,6 +315,7 @@ func decodeOneAttr(flags, typ uint8, data []byte, opt Options, out *Attrs) error
 // the segment slice and each recycled segment's ASN slice are reused
 // where capacity allows, so a warmed decoder parses paths without
 // allocating. Pass nil to decode into fresh storage.
+//
 //hybridrel:hotpath
 func decodeASPath(b []byte, asn4 bool, into ASPath) (ASPath, error) {
 	width := 2

@@ -73,6 +73,7 @@ func (u *Update) Marshal(opt Options) ([]byte, error) {
 
 // ParseHeader validates a BGP message header and returns the declared
 // total length and message type.
+//
 //hybridrel:hotpath
 func ParseHeader(b []byte) (length int, msgType uint8, err error) {
 	if len(b) < headerLen {
@@ -109,6 +110,7 @@ func ParseHeader(b []byte) (length int, msgType uint8, err error) {
 // Bytes between the end of the declared sections and the header length
 // are NLRI by definition; bytes past the header length are the next
 // message's and are ignored here (framing is ParseHeader's job).
+//
 //hybridrel:hotpath
 func ParseUpdate(b []byte, opt Options, out *Update) error {
 	out.Reset()

@@ -292,6 +292,7 @@ func CleanPath(raw []asrel.ASN) ([]asrel.ASN, error) {
 // returned slice is the scratch, valid until the next call. Note it
 // works on raw AS numbers: a duplicate observation — the overwhelming
 // steady-state case — never touches the interner.
+//
 //hybridrel:hotpath
 func (d *Dataset) cleanScr(raw []asrel.ASN) ([]asrel.ASN, error) {
 	if len(raw) == 0 {
@@ -340,6 +341,7 @@ func (d *Dataset) cleanScr(raw []asrel.ASN) ([]asrel.ASN, error) {
 // hashASNs mixes a cleaned AS sequence into the dedup table's hash
 // (FNV-1a over the AS numbers with a final avalanche, truncated to the
 // 32 bits the records cache).
+//
 //hybridrel:hotpath
 func hashASNs(p []asrel.ASN) uint32 {
 	h := uint64(1469598103934665603)
@@ -355,6 +357,7 @@ func hashASNs(p []asrel.ASN) uint32 {
 
 // pathEq reports whether rec ri's arena sequence spells the AS path p.
 // The id→ASN translation is a slice index, so a probe costs no hashing.
+//
 //hybridrel:hotpath
 func (d *Dataset) pathEq(ri int32, p []asrel.ASN) bool {
 	r := &d.recs[ri]
@@ -396,6 +399,7 @@ func (d *Dataset) tabInsert(h uint32, ri int32) {
 // find returns the rec index of the cleaned path, or -1. The cached
 // record hash pre-filters probe collisions so the element-wise path
 // compare runs (essentially) only on the true match.
+//
 //hybridrel:hotpath
 func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
 	mask := uint64(len(d.tab) - 1)
@@ -421,6 +425,7 @@ func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
 // case at route-collector scale — is one hash over the cleaned AS
 // sequence and one open-addressed probe: no allocation, no interner
 // lookups, no locking.
+//
 //hybridrel:hotpath
 func (d *Dataset) AddPath(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Community, locPrf uint32, hasLocPrf bool) error {
 	d.observations++
@@ -450,6 +455,7 @@ func (d *Dataset) AddPath(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Comm
 // given first-seen attributes when absent. Link accounting is the
 // caller's: AddPath counts links at record creation, the live layer at
 // refcount activation.
+//
 //hybridrel:hotpath
 func (d *Dataset) addRec(p []asrel.ASN, comms []bgp.Community, locPrf uint32, hasLocPrf bool) (idx int32, created bool) {
 	if d.tab == nil || (len(d.recs)+1)*4 > len(d.tab)*3 {
@@ -591,7 +597,9 @@ func (d *Dataset) ensureSorted() {
 	}
 	d.arena, d.recs = arena, recs
 	if d.live != nil {
+		// Record indexes moved: the live Paths order and views restart.
 		d.live.refs = refs
+		d.live.obs, d.live.order = make([]*PathObs, len(recs)), nil
 	}
 	d.sorted = true
 	d.tab = nil // record indexes moved; rebuilt on the next AddPath
@@ -772,17 +780,19 @@ func (d *Dataset) NumObservations() int { return d.observations }
 func (d *Dataset) Dropped() (sets, loops int) { return d.droppedSets, d.droppedLoops }
 
 // Paths returns all unique path observations ordered by (vantage,
-// path). The PathObs values are materialized once and cached until the
-// next mutation; the returned slice is the caller's.
+// path) — for a live dataset, the currently-active ones. The PathObs
+// values are materialized once and cached until the next mutation (on
+// a live dataset, until a mutation of that path's record); the
+// returned slice is the caller's.
 func (d *Dataset) Paths() []*PathObs {
 	d.flatMu.Lock()
 	defer d.flatMu.Unlock()
+	if d.live != nil {
+		return d.livePaths()
+	}
 	if d.pathsMemo == nil || d.memoAt != d.mutations {
 		memo := make([]*PathObs, 0, len(d.recs))
 		for _, ri := range d.sortedIndex() {
-			if d.live != nil && d.live.refs[ri] == 0 {
-				continue // withdrawn path; invisible until re-announced
-			}
 			memo = append(memo, d.materialize(ri))
 		}
 		d.pathsMemo = memo

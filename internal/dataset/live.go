@@ -12,11 +12,21 @@
 // the way batch ingestion already folded its pending counts. Records
 // are never deleted — a withdrawn-then-reannounced path reactivates
 // its old record, keeping the hot loop allocation-free under flapping.
+//
+// Paths on a live dataset is incremental too. The canonical record
+// order persists across calls: only records created since the last
+// call are sorted, then merged into the standing order. Each record's
+// materialized PathObs is kept until Retain changes its observation
+// count or prefixes (or Release withdraws it), so a call re-materializes
+// only the records touched since the previous one. The cache is filled
+// by Paths alone — RecObs views are transient — so records the feed
+// merely flapped through stay unmaterialized.
 package dataset
 
 import (
 	"fmt"
 	"net/netip"
+	"sort"
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/bgp"
@@ -28,6 +38,9 @@ type liveState struct {
 	refs   []int32            // per-record active refcount, parallel to recs
 	neg    intern.CountsAccum // link releases not yet folded into flat
 	active int                // records with refs > 0
+
+	order []int32    // record indexes in canonical path order, as of the last Paths
+	obs   []*PathObs // per-record Paths view, parallel to recs; nil until built or once stale
 }
 
 // NewLive returns an empty live dataset for one plane. Live datasets
@@ -63,6 +76,7 @@ func (d *Dataset) Retain(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Commu
 	idx, created := d.addRec(p, comms, locPrf, hasLocPrf)
 	if created {
 		d.live.refs = append(d.live.refs, 0)
+		d.live.obs = append(d.live.obs, nil)
 	}
 	if d.live.refs[idx] == 0 {
 		activated = true
@@ -72,6 +86,7 @@ func (d *Dataset) Retain(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Commu
 		}
 	}
 	d.live.refs[idx]++
+	d.live.obs[idx] = nil // Obs moves on every Retain; the view is stale
 	rec := &d.recs[idx]
 	rec.obs++
 	if prefix.IsValid() {
@@ -98,6 +113,7 @@ func (d *Dataset) Release(idx int32) (deactivated bool) {
 	}
 	d.mutations++
 	d.live.active--
+	d.live.obs[idx] = nil // invisible until revived, and revival re-Retains
 	r := &d.recs[idx]
 	seq := d.arena[r.off:r.end]
 	for i := 1; i < len(seq); i++ {
@@ -134,4 +150,51 @@ func (d *Dataset) RefCount(idx int32) int32 {
 // activation state flips.
 func (d *Dataset) RecObs(idx int32) *PathObs {
 	return d.materialize(idx)
+}
+
+// livePaths is Paths for a live dataset: the active records in
+// canonical order, with the standing order extended by the records
+// created since the last call and each view reused until its record
+// changed. Callers hold flatMu.
+func (d *Dataset) livePaths() []*PathObs {
+	l := d.live
+	if n := len(l.order); n < len(d.recs) {
+		fresh := make([]int32, 0, len(d.recs)-n)
+		for ri := n; ri < len(d.recs); ri++ {
+			fresh = append(fresh, int32(ri))
+		}
+		sort.Slice(fresh, func(a, b int) bool { return d.comparePathAt(fresh[a], fresh[b]) < 0 })
+		l.order = d.mergeOrder(l.order, fresh)
+	}
+	out := make([]*PathObs, 0, l.active)
+	for _, ri := range l.order {
+		if l.refs[ri] == 0 {
+			continue // withdrawn path; invisible until re-announced
+		}
+		p := l.obs[ri]
+		if p == nil {
+			p = d.materialize(ri)
+			l.obs[ri] = p
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// mergeOrder merges two canonically sorted runs of record indexes.
+// Paths are unique, so no two records compare equal.
+func (d *Dataset) mergeOrder(old, fresh []int32) []int32 {
+	out := make([]int32, 0, len(old)+len(fresh))
+	i, j := 0, 0
+	for i < len(old) && j < len(fresh) {
+		if d.comparePathAt(old[i], fresh[j]) < 0 {
+			out = append(out, old[i])
+			i++
+		} else {
+			out = append(out, fresh[j])
+			j++
+		}
+	}
+	out = append(out, old[i:]...)
+	return append(out, fresh[j:]...)
 }

@@ -27,38 +27,24 @@ func (v *Votes) Transit() int { return v.P2C + v.C2P }
 
 // Add registers one vote for the directed pair (a, b) having
 // relationship r, where k is the canonical key of {a, b}.
-func (v *Votes) Add(k asrel.LinkKey, a asrel.ASN, r asrel.Rel) {
-	if a != k.Lo {
-		r = r.Invert()
-	}
-	switch r {
-	case asrel.P2C:
-		v.P2C++
-	case asrel.C2P:
-		v.C2P++
-	case asrel.P2P:
-		v.P2P++
-	case asrel.S2S:
-		v.S2S++
-	}
-}
+func (v *Votes) Add(k asrel.LinkKey, a asrel.ASN, r asrel.Rel) { v.AddN(k, a, r, 1) }
 
-// Sub retracts one previously-registered vote for the directed pair
-// (a, b) having relationship r — the inverse of Add, used by the live
-// incremental engine when a path's evidence is withdrawn.
-func (v *Votes) Sub(k asrel.LinkKey, a asrel.ASN, r asrel.Rel) {
+// AddN registers n votes for the directed pair (a, b) having
+// relationship r; a negative n retracts votes, which is how the live
+// incremental engine withdraws a path's evidence.
+func (v *Votes) AddN(k asrel.LinkKey, a asrel.ASN, r asrel.Rel, n int) {
 	if a != k.Lo {
 		r = r.Invert()
 	}
 	switch r {
 	case asrel.P2C:
-		v.P2C--
+		v.P2C += n
 	case asrel.C2P:
-		v.C2P--
+		v.C2P += n
 	case asrel.P2P:
-		v.P2P--
+		v.P2P += n
 	case asrel.S2S:
-		v.S2S--
+		v.S2S += n
 	}
 }
 
@@ -100,27 +86,34 @@ func NewVoteTable() *VoteTable {
 }
 
 // Add registers a vote that a (toward b) has relationship r.
-func (t *VoteTable) Add(a, b asrel.ASN, r asrel.Rel) {
+func (t *VoteTable) Add(a, b asrel.ASN, r asrel.Rel) { t.AddN(a, b, r, 1) }
+
+// Sub retracts a vote previously registered with Add.
+func (t *VoteTable) Sub(a, b asrel.ASN, r asrel.Rel) { t.SubN(a, b, r, 1) }
+
+// AddN registers n votes that a (toward b) has relationship r — one
+// counted emission standing for n identical paths.
+func (t *VoteTable) AddN(a, b asrel.ASN, r asrel.Rel, n int) {
 	k := asrel.Key(a, b)
 	v := t.votes[k]
 	if v == nil {
 		v = &Votes{}
 		t.votes[k] = v
 	}
-	v.Add(k, a, r)
+	v.AddN(k, a, r, n)
 }
 
-// Sub retracts a vote previously registered with Add, dropping the
-// link's record when its last vote goes. Retracting more votes than
-// were added is a caller bug; the counts would go negative and
-// Resolve's majorities would be meaningless.
-func (t *VoteTable) Sub(a, b asrel.ASN, r asrel.Rel) {
+// SubN retracts n votes previously registered with Add or AddN,
+// dropping the link's record when its last vote goes. Retracting more
+// votes than were added is a caller bug; the counts would go negative
+// and Resolve's majorities would be meaningless.
+func (t *VoteTable) SubN(a, b asrel.ASN, r asrel.Rel, n int) {
 	k := asrel.Key(a, b)
 	v := t.votes[k]
 	if v == nil {
 		return
 	}
-	v.Sub(k, a, r)
+	v.AddN(k, a, r, -n)
 	if v.Total() == 0 {
 		delete(t.votes, k)
 	}

@@ -213,3 +213,20 @@ func TestScoreAllUnclassified(t *testing.T) {
 		t.Error("recall/precision of missed classes should be 0")
 	}
 }
+
+func TestVoteTableCounted(t *testing.T) {
+	vt := NewVoteTable()
+	vt.AddN(2, 1, asrel.C2P, 3) // three votes that 1 is provider of 2
+	vt.Add(1, 2, asrel.P2P)
+	if v := vt.Get(asrel.Key(1, 2)); v.P2C != 3 || v.P2P != 1 {
+		t.Fatalf("votes = %+v", *v)
+	}
+	vt.SubN(2, 1, asrel.C2P, 3)
+	if got := vt.Resolve().Get(1, 2); got != asrel.P2P {
+		t.Errorf("after SubN rel = %s, want p2p", got)
+	}
+	vt.Sub(1, 2, asrel.P2P)
+	if vt.Len() != 0 {
+		t.Errorf("link kept after its last vote was retracted: Len = %d", vt.Len())
+	}
+}

@@ -10,6 +10,14 @@
 // remaining routes of that vantage classify their first-hop links.
 // Routes carrying a traffic-engineering community are excluded from both
 // calibration and application: their LocPrf was overridden.
+//
+// Calibration reads nothing of a path but its TE tagging, its first
+// hop and its LocPrf, so each vantage's paths are kept as counted
+// Evidence: a TE-filtered count plus one count per (neighbor, LocPrf)
+// bucket. Calibrate runs over the buckets and emits each application
+// with its multiplicity, so recalibrating a vantage costs its buckets,
+// not its paths. Batch Infer groups paths into Evidence; the live
+// engine folds each route change into it as it arrives.
 package locpref
 
 import (
@@ -49,56 +57,96 @@ type Result struct {
 	// Conflicts counts calibration values discarded for mapping to
 	// multiple relationships.
 	Conflicts int
-
-	cfg Config
 }
 
 // Infer calibrates and applies LocPrf per vantage. base is the
 // communities-derived table used both as calibration anchor and to skip
 // already-covered links.
 func Infer(paths []*dataset.PathObs, dict *community.Dictionary, base *asrel.Table, cfg Config) *Result {
-	if cfg.MinSupport < 1 {
-		cfg.MinSupport = 2
-	}
-	res := &Result{cfg: cfg}
-	byVantage := make(map[asrel.ASN][]*dataset.PathObs)
-	var vantages []asrel.ASN
-	for _, p := range paths {
-		if !Eligible(p) {
-			continue
-		}
-		if _, ok := byVantage[p.Vantage]; !ok {
-			vantages = append(vantages, p.Vantage)
-		}
-		byVantage[p.Vantage] = append(byVantage[p.Vantage], p)
-	}
-
+	res := &Result{}
 	votes := infer.NewVoteTable()
-	for _, v := range vantages {
-		st := InferVantage(v, byVantage[v], dict, base, cfg, votes.Add)
-		res.accumulate(st)
+	for v, ev := range Group(paths, dict) {
+		st := Calibrate(v, ev, base, cfg, votes.AddN)
+		if st.Calibrated {
+			res.CalibratedVantages++
+		}
+		res.FilteredTE += st.FilteredTE
+		res.Applied += st.Applied
+		res.Conflicts += st.Conflicts
 	}
 	res.Table = votes.Resolve()
 	return res
 }
 
-func (res *Result) accumulate(st VantageStats) {
-	if st.Calibrated {
-		res.CalibratedVantages++
-	}
-	res.FilteredTE += st.FilteredTE
-	res.Applied += st.Applied
-	res.Conflicts += st.Conflicts
-}
-
 // Eligible reports whether a path participates in LocPrf inference at
-// all — the filter both Infer's grouping pass and the live engine's
-// per-vantage bookkeeping apply.
+// all — the filter both Group and the live engine's per-vantage
+// bookkeeping apply.
 func Eligible(p *dataset.PathObs) bool {
 	return p.HasLocPrf && len(p.Path) >= 2
 }
 
-// VantageStats tallies one vantage's calibration-and-application pass.
+// bucket is one (first-hop neighbor, LocPrf) class of a vantage's
+// paths — everything calibration and application read of a path that
+// carries no TE community.
+type bucket struct {
+	neighbor asrel.ASN
+	locPrf   uint32
+}
+
+// Evidence is one vantage's LocPrf evidence in counted form: how many
+// eligible paths carried a TE community, and how many of the rest fall
+// into each (neighbor, LocPrf) bucket. Paths fold in and out with ±1,
+// so a streaming consumer keeps it current per route change, and
+// calibrating from it costs the vantage's buckets, not its paths. The
+// zero value is empty and ready to use.
+type Evidence struct {
+	te      int
+	buckets map[bucket]int
+}
+
+// Fold adds (delta +1) or retracts (delta -1) one eligible path's
+// evidence. A bucket whose count reaches zero is deleted, so evidence
+// folded in and back out leaves no trace.
+func (ev *Evidence) Fold(p *dataset.PathObs, dict *community.Dictionary, delta int) {
+	if hasTE(p.Communities, dict) {
+		ev.te += delta
+		return
+	}
+	k := bucket{neighbor: p.Path[1], locPrf: p.LocPrf}
+	n := ev.buckets[k] + delta
+	if n == 0 {
+		delete(ev.buckets, k)
+		return
+	}
+	if ev.buckets == nil {
+		ev.buckets = make(map[bucket]int)
+	}
+	ev.buckets[k] = n
+}
+
+// Empty reports whether no path's evidence remains.
+func (ev *Evidence) Empty() bool { return ev.te == 0 && len(ev.buckets) == 0 }
+
+// Group folds the eligible paths into per-vantage evidence — the
+// grouping batch Infer and the live engine's full recompute share.
+func Group(paths []*dataset.PathObs, dict *community.Dictionary) map[asrel.ASN]*Evidence {
+	out := make(map[asrel.ASN]*Evidence)
+	for _, p := range paths {
+		if !Eligible(p) {
+			continue
+		}
+		ev := out[p.Vantage]
+		if ev == nil {
+			ev = &Evidence{}
+			out[p.Vantage] = ev
+		}
+		ev.Fold(p, dict, 1)
+	}
+	return out
+}
+
+// VantageStats tallies one vantage's calibration-and-application pass,
+// counting paths (bucket multiplicities), not buckets.
 type VantageStats struct {
 	Calibrated bool
 	FilteredTE int
@@ -106,71 +154,66 @@ type VantageStats struct {
 	Conflicts  int
 }
 
-// InferVantage runs the calibration and application for one vantage
-// over its eligible paths, emitting one directed vote per applied
-// route: emit(v, neighbor, rel) asserts the vantage's relationship
-// toward its first hop. Path order within the vantage is irrelevant —
-// calibration counts and emitted vote multisets are order-independent
-// — which is what lets the live engine recompute a single vantage in
+// Calibrate runs the calibration and application for vantage v over
+// its evidence. Buckets whose first hop base already covers calibrate
+// the vantage's LocPrf bands; every other bucket whose LocPrf falls in
+// a usable band emits one directed vote per path it counts:
+// emit(v, neighbor, rel, n) asserts, n times over, the vantage's
+// relationship toward its first hop. Vote counts are order-independent,
+// which is what lets the live engine recalibrate a single vantage in
 // isolation and still match batch Infer exactly. base is read for
 // first-hop coverage only.
-func InferVantage(v asrel.ASN, paths []*dataset.PathObs, dict *community.Dictionary, base *asrel.Table, cfg Config, emit func(a, b asrel.ASN, rel asrel.Rel)) VantageStats {
+func Calibrate(v asrel.ASN, ev *Evidence, base *asrel.Table, cfg Config, emit func(a, b asrel.ASN, rel asrel.Rel, n int)) VantageStats {
 	if cfg.MinSupport < 1 {
 		cfg.MinSupport = 2
 	}
-	var st VantageStats
-	// Calibration: LocPrf value → relationship counts, from routes whose
-	// first-hop relationship the communities already established.
-	calib := make(map[uint32]map[asrel.Rel]int)
-	type application struct {
-		neighbor asrel.ASN
-		locPrf   uint32
+	st := VantageStats{FilteredTE: ev.te}
+	// Calibration: LocPrf value → the single relationship its
+	// community-confirmed routes agree on, with their count.
+	type band struct {
+		rel      asrel.Rel
+		n        int
+		conflict bool
 	}
-	var apply []application
-
-	for _, p := range paths {
-		if hasTE(p.Communities, dict) {
-			st.FilteredTE++
+	calib := make(map[uint32]band)
+	for k, n := range ev.buckets {
+		rel := base.Get(v, k.neighbor)
+		if !rel.Known() {
 			continue
 		}
-		neighbor := p.Path[1]
-		rel := base.Get(v, neighbor)
-		if rel.Known() {
-			m := calib[p.LocPrf]
-			if m == nil {
-				m = make(map[asrel.Rel]int)
-				calib[p.LocPrf] = m
-			}
-			m[rel]++
-			continue
+		b, seen := calib[k.locPrf]
+		switch {
+		case !seen:
+			b = band{rel: rel, n: n}
+		case b.rel != rel:
+			b.conflict = true
+		default:
+			b.n += n
 		}
-		apply = append(apply, application{neighbor: neighbor, locPrf: p.LocPrf})
+		calib[k.locPrf] = b
 	}
 
 	// Keep only unambiguous, well-supported bands.
-	bands := make(map[uint32]asrel.Rel, len(calib))
-	for val, m := range calib {
-		if len(m) != 1 {
+	for val, b := range calib {
+		switch {
+		case b.conflict:
 			st.Conflicts++
-			continue
-		}
-		for rel, n := range m {
-			if n >= cfg.MinSupport {
-				bands[val] = rel
-			}
+			delete(calib, val)
+		case b.n < cfg.MinSupport:
+			delete(calib, val)
 		}
 	}
-	if len(bands) == 0 {
+	if len(calib) == 0 {
 		return st
 	}
 	st.Calibrated = true
-	for _, a := range apply {
-		rel, ok := bands[a.locPrf]
-		if !ok {
+	for k, n := range ev.buckets {
+		b, ok := calib[k.locPrf]
+		if !ok || base.Get(v, k.neighbor).Known() {
 			continue
 		}
-		emit(v, a.neighbor, rel)
-		st.Applied++
+		emit(v, k.neighbor, b.rel, n)
+		st.Applied += n
 	}
 	return st
 }

@@ -163,3 +163,87 @@ func TestExtendsCoverageCorrectly(t *testing.T) {
 		t.Error("no TE routes filtered; TE noise missing from the world")
 	}
 }
+
+func TestEvidenceFoldRoundTrip(t *testing.T) {
+	dict := community.NewDictionary()
+	te := bgp.MakeCommunity(10, 9000)
+	dict.Set(te, community.MeaningTE)
+	paths := []*dataset.PathObs{
+		obsLP([]asrel.ASN{10, 20, 99}, 300),
+		obsLP([]asrel.ASN{10, 20, 98}, 300),
+		obsLP([]asrel.ASN{10, 30, 97}, 200),
+		obsLP([]asrel.ASN{10, 40, 96}, 300, te),
+	}
+	var ev Evidence
+	for _, p := range paths {
+		ev.Fold(p, dict, 1)
+	}
+	if ev.te != 1 || len(ev.buckets) != 2 || ev.buckets[bucket{20, 300}] != 2 {
+		t.Fatalf("folded evidence = %+v", ev)
+	}
+	for _, p := range paths[:2] {
+		ev.Fold(p, dict, -1)
+	}
+	if _, ok := ev.buckets[bucket{20, 300}]; ok || ev.Empty() {
+		t.Fatalf("after retracting one bucket's paths: %+v", ev)
+	}
+	for _, p := range paths[2:] {
+		ev.Fold(p, dict, -1)
+	}
+	if !ev.Empty() || len(ev.buckets) != 0 {
+		t.Fatalf("evidence folded in and out is not empty: %+v", ev)
+	}
+}
+
+func TestTEPathsCountOnlyAsFiltered(t *testing.T) {
+	dict := community.NewDictionary()
+	te := bgp.MakeCommunity(10, 9000)
+	dict.Set(te, community.MeaningTE)
+	base := asrel.NewTable()
+	base.Set(10, 20, asrel.P2C)
+	// Every path is TE-tagged: two would-be anchors and one uncovered
+	// link. None may calibrate or apply.
+	paths := []*dataset.PathObs{
+		obsLP([]asrel.ASN{10, 20, 99}, 300, te),
+		obsLP([]asrel.ASN{10, 20, 98}, 300, te),
+		obsLP([]asrel.ASN{10, 40, 97}, 300, te),
+	}
+	ev := Group(paths, dict)[10]
+	if ev == nil || ev.te != 3 || len(ev.buckets) != 0 {
+		t.Fatalf("TE paths reached the buckets: %+v", ev)
+	}
+	emitted := 0
+	st := Calibrate(10, ev, base, Config{MinSupport: 1}, func(asrel.ASN, asrel.ASN, asrel.Rel, int) { emitted++ })
+	if st.FilteredTE != 3 || st.Calibrated || st.Applied != 0 || emitted != 0 {
+		t.Errorf("stats = %+v, %d emissions", st, emitted)
+	}
+}
+
+func TestBandSupportedByMultiplicity(t *testing.T) {
+	// Two routes through the same anchored neighbor with the same
+	// LocPrf share one bucket of count 2: that alone must reach
+	// MinSupport 2, and the uncovered bucket applies with its count.
+	base := asrel.NewTable()
+	base.Set(10, 20, asrel.P2C)
+	paths := []*dataset.PathObs{
+		obsLP([]asrel.ASN{10, 20, 99}, 300),
+		obsLP([]asrel.ASN{10, 20, 98}, 300),
+		obsLP([]asrel.ASN{10, 40, 97}, 300),
+		obsLP([]asrel.ASN{10, 40, 96}, 300),
+	}
+	ev := Group(paths, community.NewDictionary())[10]
+	var got []int
+	st := Calibrate(10, ev, base, DefaultConfig(), func(a, b asrel.ASN, rel asrel.Rel, n int) {
+		if a != 10 || b != 40 || rel != asrel.P2C {
+			t.Errorf("emit(%s, %s, %s, %d)", a, b, rel, n)
+		}
+		got = append(got, n)
+	})
+	if !st.Calibrated || st.Applied != 2 || len(got) != 1 || got[0] != 2 {
+		t.Errorf("stats = %+v, emissions %v; want one emission of 2", st, got)
+	}
+	res := Infer(paths, community.NewDictionary(), base, DefaultConfig())
+	if res.CalibratedVantages != 1 || res.Applied != 2 || res.Table.Get(10, 40) != asrel.P2C {
+		t.Errorf("Infer = %+v", res)
+	}
+}

@@ -33,6 +33,7 @@ func hashPacked(u uint64) uint64 {
 // Add increments the count of k by delta. Empty slots are marked by a
 // zero count — a stored link always has count ≥ 1, so no sentinel key
 // is needed and the all-zero link {0,0} remains representable.
+//
 //hybridrel:hotpath
 func (c *CountsAccum) Add(k asrel.LinkKey, delta int32) {
 	if delta <= 0 {
@@ -73,6 +74,7 @@ func (c *CountsAccum) Reset() {
 }
 
 // grow doubles the table (or seeds it) and reinserts every occupied slot.
+//
 //hybridrel:hotpath
 func (c *CountsAccum) grow() {
 	size := accumMinSize

@@ -70,6 +70,7 @@ func (t *Table) Len() int { return len(t.keys) }
 
 // GetKey returns the relationship stored for the canonical link key,
 // oriented Lo→Hi, or Unknown when the link is absent.
+//
 //hybridrel:hotpath
 func (t *Table) GetKey(k asrel.LinkKey) asrel.Rel {
 	if i, ok := searchPacked(t.keys, Pack(k)); ok {
@@ -80,6 +81,7 @@ func (t *Table) GetKey(k asrel.LinkKey) asrel.Rel {
 
 // Get returns the relationship of the directed pair (a, b), matching
 // asrel.Table.Get's orientation semantics.
+//
 //hybridrel:hotpath
 func (t *Table) Get(a, b asrel.ASN) asrel.Rel {
 	k := asrel.Key(a, b)

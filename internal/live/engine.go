@@ -20,12 +20,16 @@ import (
 //
 // LocPrf: calibration is per vantage and reads the communities table
 // only on links incident to that vantage (the first hop of its own
-// paths). A vantage therefore needs recomputing exactly when (a) its
-// eligible active path set changed, or (b) the communities table
-// changed on a link it is an endpoint of. Recomputation subtracts the
-// vantage's previous vote contributions, reruns locpref.InferVantage,
-// and adds the new ones; the per-vantage pass is order-independent, so
-// the aggregate again matches batch Infer exactly.
+// paths). Each vantage's eligible active paths are kept as counted
+// locpref.Evidence — a TE-filtered count plus (neighbor, LocPrf)
+// buckets — folded ±1 as paths activate and deactivate. A vantage needs
+// recalibrating exactly when (a) its evidence changed, or (b) the
+// communities table changed on a link it is an endpoint of.
+// Recalibration subtracts the vantage's previous vote contributions,
+// reruns locpref.Calibrate over its buckets, and adds the new ones, so
+// it costs the vantage's buckets, not its paths; vote counts are
+// order-independent, so the aggregate again matches batch Infer
+// exactly.
 type planeEngine struct {
 	d    *dataset.Dataset
 	dict *community.Dictionary
@@ -36,11 +40,12 @@ type planeEngine struct {
 
 	lp       *infer.VoteTable
 	lpTable  *asrel.Table
-	lpVotes  map[asrel.ASN][]lpVote           // last emitted votes per vantage
-	vantRecs map[asrel.ASN]map[int32]struct{} // eligible active records per vantage
+	lpVotes  map[asrel.ASN][]lpVote          // last emitted votes per vantage
+	evidence map[asrel.ASN]*locpref.Evidence // eligible active paths per vantage, counted
 
 	dirtyComm map[asrel.LinkKey]struct{}
 	dirtyVant map[asrel.ASN]struct{}
+	lpDirty   map[asrel.LinkKey]struct{} // resolve scratch: links whose LocPrf votes moved
 
 	// fullRecomputes / incrementalResolves count resolve() strategies
 	// taken, for observability and tests.
@@ -48,9 +53,12 @@ type planeEngine struct {
 	incrementalResolves int
 }
 
+// lpVote is one counted LocPrf emission: n votes that a (toward b)
+// has relationship rel.
 type lpVote struct {
 	a, b asrel.ASN
 	rel  asrel.Rel
+	n    int
 }
 
 func newPlaneEngine(d *dataset.Dataset, dict *community.Dictionary, cfg locpref.Config) *planeEngine {
@@ -61,41 +69,42 @@ func newPlaneEngine(d *dataset.Dataset, dict *community.Dictionary, cfg locpref.
 		lp:        infer.NewVoteTable(),
 		lpTable:   asrel.NewTable(),
 		lpVotes:   make(map[asrel.ASN][]lpVote),
-		vantRecs:  make(map[asrel.ASN]map[int32]struct{}),
+		evidence:  make(map[asrel.ASN]*locpref.Evidence),
 		dirtyComm: make(map[asrel.LinkKey]struct{}),
 		dirtyVant: make(map[asrel.ASN]struct{}),
+		lpDirty:   make(map[asrel.LinkKey]struct{}),
 	}
 }
 
 // activate folds a newly-active path's evidence in.
-func (e *planeEngine) activate(idx int32, p *dataset.PathObs) {
+func (e *planeEngine) activate(p *dataset.PathObs) {
 	communityinfer.PathVotes(p, e.dict, func(a, b asrel.ASN, rel asrel.Rel) {
 		e.comm.Add(a, b, rel)
 		e.dirtyComm[asrel.Key(a, b)] = struct{}{}
 	})
 	if locpref.Eligible(p) {
-		set := e.vantRecs[p.Vantage]
-		if set == nil {
-			set = make(map[int32]struct{})
-			e.vantRecs[p.Vantage] = set
+		ev := e.evidence[p.Vantage]
+		if ev == nil {
+			ev = &locpref.Evidence{}
+			e.evidence[p.Vantage] = ev
 		}
-		set[idx] = struct{}{}
+		ev.Fold(p, e.dict, 1)
 		e.dirtyVant[p.Vantage] = struct{}{}
 	}
 }
 
 // deactivate retracts a withdrawn path's evidence — the exact votes
-// activate added, replayed with opposite sign.
-func (e *planeEngine) deactivate(idx int32, p *dataset.PathObs) {
+// and bucket counts activate added, replayed with opposite sign.
+func (e *planeEngine) deactivate(p *dataset.PathObs) {
 	communityinfer.PathVotes(p, e.dict, func(a, b asrel.ASN, rel asrel.Rel) {
 		e.comm.Sub(a, b, rel)
 		e.dirtyComm[asrel.Key(a, b)] = struct{}{}
 	})
 	if locpref.Eligible(p) {
-		if set := e.vantRecs[p.Vantage]; set != nil {
-			delete(set, idx)
-			if len(set) == 0 {
-				delete(e.vantRecs, p.Vantage)
+		if ev := e.evidence[p.Vantage]; ev != nil {
+			ev.Fold(p, e.dict, -1)
+			if ev.Empty() {
+				delete(e.evidence, p.Vantage)
 			}
 		}
 		e.dirtyVant[p.Vantage] = struct{}{}
@@ -141,31 +150,17 @@ func (e *planeEngine) resolve(threshold float64) {
 	}
 	clear(e.dirtyComm)
 
-	lpDirty := make(map[asrel.LinkKey]struct{})
 	for v := range e.dirtyVant {
-		for _, c := range e.lpVotes[v] {
-			e.lp.Sub(c.a, c.b, c.rel)
-			lpDirty[asrel.Key(c.a, c.b)] = struct{}{}
+		contrib := e.lpVotes[v]
+		for _, c := range contrib {
+			e.lp.SubN(c.a, c.b, c.rel, c.n)
+			e.lpDirty[asrel.Key(c.a, c.b)] = struct{}{}
 		}
-		paths := make([]*dataset.PathObs, 0, len(e.vantRecs[v]))
-		for idx := range e.vantRecs[v] {
-			paths = append(paths, e.d.RecObs(idx))
-		}
-		var contrib []lpVote
-		locpref.InferVantage(v, paths, e.dict, e.commTable, e.cfg, func(a, b asrel.ASN, rel asrel.Rel) {
-			contrib = append(contrib, lpVote{a, b, rel})
-			e.lp.Add(a, b, rel)
-			lpDirty[asrel.Key(a, b)] = struct{}{}
-		})
-		if len(contrib) == 0 {
-			delete(e.lpVotes, v)
-		} else {
-			e.lpVotes[v] = contrib
-		}
+		e.calibrate(v, contrib[:0])
 	}
 	clear(e.dirtyVant)
 
-	for k := range lpDirty {
+	for k := range e.lpDirty {
 		now := asrel.Unknown
 		if v := e.lp.Get(k); v != nil {
 			now = v.Resolve()
@@ -176,10 +171,30 @@ func (e *planeEngine) resolve(threshold float64) {
 			e.lpTable.Delete(k.Lo, k.Hi)
 		}
 	}
+	clear(e.lpDirty)
+}
+
+// calibrate reruns vantage v's LocPrf calibration from its evidence,
+// adding the emitted votes to the aggregate and appending them to
+// contrib (an emptied slice whose storage is reused) as the vantage's
+// contribution, to retract on its next recalibration.
+func (e *planeEngine) calibrate(v asrel.ASN, contrib []lpVote) {
+	if ev := e.evidence[v]; ev != nil {
+		locpref.Calibrate(v, ev, e.commTable, e.cfg, func(a, b asrel.ASN, rel asrel.Rel, n int) {
+			contrib = append(contrib, lpVote{a, b, rel, n})
+			e.lp.AddN(a, b, rel, n)
+			e.lpDirty[asrel.Key(a, b)] = struct{}{}
+		})
+	}
+	if len(contrib) == 0 {
+		delete(e.lpVotes, v)
+	} else {
+		e.lpVotes[v] = contrib
+	}
 }
 
 func (e *planeEngine) touchVantage(v asrel.ASN) {
-	if len(e.vantRecs[v]) > 0 || len(e.lpVotes[v]) > 0 {
+	if e.evidence[v] != nil || len(e.lpVotes[v]) > 0 {
 		e.dirtyVant[v] = struct{}{}
 	}
 }
@@ -201,27 +216,11 @@ func (e *planeEngine) recompute() {
 	}
 	e.commTable = e.comm.Resolve()
 
-	byVantage := make(map[asrel.ASN][]*dataset.PathObs)
-	var vantages []asrel.ASN
-	for _, p := range paths {
-		if !locpref.Eligible(p) {
-			continue
-		}
-		if _, ok := byVantage[p.Vantage]; !ok {
-			vantages = append(vantages, p.Vantage)
-		}
-		byVantage[p.Vantage] = append(byVantage[p.Vantage], p)
+	e.evidence = locpref.Group(paths, e.dict)
+	for v := range e.evidence {
+		e.calibrate(v, nil)
 	}
-	for _, v := range vantages {
-		var contrib []lpVote
-		locpref.InferVantage(v, byVantage[v], e.dict, e.commTable, e.cfg, func(a, b asrel.ASN, rel asrel.Rel) {
-			contrib = append(contrib, lpVote{a, b, rel})
-			e.lp.Add(a, b, rel)
-		})
-		if len(contrib) > 0 {
-			e.lpVotes[v] = contrib
-		}
-	}
+	clear(e.lpDirty)
 	e.lpTable = e.lp.Resolve()
 }
 

@@ -158,7 +158,7 @@ func (ap *Applier) announce(d *dataset.Dataset, e *planeEngine, vantage asrel.AS
 			continue // loop path; tallied by the dataset
 		}
 		if activated {
-			e.activate(idx, d.RecObs(idx))
+			e.activate(d.RecObs(idx))
 		}
 		if ap.metrics != nil {
 			ap.metrics.Announced.Inc()
@@ -172,7 +172,7 @@ func (ap *Applier) announce(d *dataset.Dataset, e *planeEngine, vantage asrel.AS
 		// never deactivate the route.
 		if old, ok := ap.rib[key]; ok {
 			if d.Release(old) {
-				e.deactivate(old, d.RecObs(old))
+				e.deactivate(d.RecObs(old))
 			}
 		}
 		ap.rib[key] = idx
@@ -191,7 +191,7 @@ func (ap *Applier) withdraw(d *dataset.Dataset, e *planeEngine, vantage asrel.AS
 		ap.metrics.Withdrawn.Inc()
 	}
 	if d.Release(idx) {
-		e.deactivate(idx, d.RecObs(idx))
+		e.deactivate(d.RecObs(idx))
 	}
 }
 

@@ -168,6 +168,7 @@ func (RawMessage) isMRTMessage() {}
 // The returned Message (including RawMessage bodies and BGP4MP
 // payloads) aliases the reader's scratch; Visit's no-retain contract is
 // what makes that safe.
+//
 //hybridrel:hotpath
 func (r *Reader) decodeShared(hdrType, subtype uint16, body []byte) (Message, error) {
 	switch hdrType {
@@ -267,6 +268,7 @@ var ribAttrOptions = bgp.Options{ASN4: true, RIBMPReach: true}
 // decodeRIBInto parses a TABLE_DUMP_V2 RIB record into rib, reusing its
 // entry slice and each recycled entry's decoded attribute storage —
 // the zero-allocation shape of the visitor hot path.
+//
 //hybridrel:hotpath
 func decodeRIBInto(b []byte, v6 bool, rib *RIB) (*RIB, error) {
 	if len(b) < 4 {
@@ -316,6 +318,7 @@ func decodeRIBInto(b []byte, v6 bool, rib *RIB) (*RIB, error) {
 }
 
 // readRIBPrefix reads the NLRI-encoded prefix of a RIB record.
+//
 //hybridrel:hotpath
 func readRIBPrefix(b []byte, v6 bool) (netip.Prefix, int, error) {
 	p, n, err := bgp.ReadPrefix(b, v6)
@@ -327,6 +330,7 @@ func readRIBPrefix(b []byte, v6 bool) (netip.Prefix, int, error) {
 
 // decodeBGP4MPInto parses a BGP4MP message record into m. Data aliases
 // the record body (the caller's scratch); Record.Clone detaches it.
+//
 //hybridrel:hotpath
 func decodeBGP4MPInto(b []byte, as4 bool, m *BGP4MPMessage) (*BGP4MPMessage, error) {
 	asWidth := 2

@@ -55,6 +55,7 @@ func (r *Reader) Reset(src io.Reader) {
 // valid until the next readFrame call. start is the byte offset of the
 // record header, for error context. io.EOF is returned clean at the
 // archive end.
+//
 //hybridrel:hotpath
 func (r *Reader) readFrame() (ts uint32, typ, sub uint16, body []byte, start int64, err error) {
 	start = r.offset
@@ -90,6 +91,7 @@ func (r *Reader) readFrame() (ts uint32, typ, sub uint16, body []byte, start int
 
 // visitOne decodes the next record into the reader's shared state and
 // hands it to fn. It returns io.EOF clean at the archive end.
+//
 //hybridrel:hotpath
 func (r *Reader) visitOne(fn func(*Record) error) error {
 	ts, typ, sub, body, start, err := r.readFrame()
@@ -119,6 +121,7 @@ func (r *Reader) visitOne(fn func(*Record) error) error {
 //
 // Visit stops at the first decoding error or the first error returned
 // by fn, and returns nil at a clean end of archive.
+//
 //hybridrel:hotpath
 func (r *Reader) Visit(fn func(*Record) error) error {
 	for {
