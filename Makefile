@@ -13,8 +13,12 @@ all: build test lint
 build:
 	go build ./...
 
+# test runs the root module's tests, then vets and tests the bench
+# module the way the CI bench job does: it has its own go.mod, so the
+# root ./... patterns never reach it.
 test:
 	go test ./...
+	cd bench && go vet ./... && go test -short ./...
 
 # tools-test runs the linter's own analysistest suites.
 tools-test:

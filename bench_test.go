@@ -25,6 +25,7 @@ import (
 	"hybridrel/internal/infer"
 	"hybridrel/internal/infer/gao"
 	"hybridrel/internal/infer/rank"
+	"hybridrel/internal/intern"
 	"hybridrel/internal/mrt"
 	"hybridrel/internal/pipeline"
 	"hybridrel/internal/topology"
@@ -125,13 +126,14 @@ func BenchmarkF1CustomerTreeToy(b *testing.B) {
 	for _, l := range [][2]asrel.ASN{{1, 2}, {1, 3}, {2, 4}, {2, 5}} {
 		g.AddLink(l[0], l[1])
 	}
-	p2c := asrel.NewTable()
-	p2c.Set(1, 2, asrel.P2C)
-	p2c.Set(1, 3, asrel.P2C)
-	p2c.Set(2, 4, asrel.P2C)
-	p2c.Set(2, 5, asrel.P2C)
-	p2p := p2c.Clone()
-	p2p.Set(1, 2, asrel.P2P)
+	t := asrel.NewTable()
+	t.Set(1, 2, asrel.P2C)
+	t.Set(1, 3, asrel.P2C)
+	t.Set(2, 4, asrel.P2C)
+	t.Set(2, 5, asrel.P2C)
+	p2c := intern.FromTable(t)
+	t.Set(1, 2, asrel.P2P)
+	p2p := intern.FromTable(t)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(ctree.Tree(g, p2c, 1)) != 4 || len(ctree.Tree(g, p2p, 1)) != 1 {
@@ -352,25 +354,11 @@ func BenchmarkAnalysisDerivedProducts(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinMap and BenchmarkJoinFlat compare the dual-stack join
-// over the two topology representations on the same world: the seed's
-// sort-and-probe over map link sets versus the interned two-pointer
-// sweep over the frozen flat indexes. The map indexes are pre-built
-// outside the timed loop, so only the join itself is measured.
-func BenchmarkJoinMap(b *testing.B) {
-	_, a := benchSetup(b)
-	m4, m6 := a.D4.LinkMap(), a.D6.LinkMap()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if core.LegacyDualStack(m4, m6) == nil {
-			b.Fatal("empty join")
-		}
-	}
-}
-
+// BenchmarkJoinFlat measures the dual-stack join: the two-pointer
+// sweep over the frozen per-plane link indexes.
 func BenchmarkJoinFlat(b *testing.B) {
 	_, a := benchSetup(b)
-	a.D4.Flat() // freeze outside the timed loop, like the maps above
+	a.D4.Flat() // freeze outside the timed loop
 	a.D6.Flat()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -380,20 +368,9 @@ func BenchmarkJoinFlat(b *testing.B) {
 	}
 }
 
-// BenchmarkInferenceMap and BenchmarkInferenceFlat compare the full
-// derived-product recomputation — join, hybrid detection, coverage —
-// between the legacy map-probing algorithms and the interned sweeps.
-func BenchmarkInferenceMap(b *testing.B) {
-	_, a := benchSetup(b)
-	m4, m6 := a.D4.LinkMap(), a.D6.LinkMap()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, hyb, _ := a.LegacyProducts(m4, m6); len(hyb) == 0 {
-			b.Fatal("no hybrids")
-		}
-	}
-}
-
+// BenchmarkInferenceFlat measures the full derived-product
+// recomputation — join, hybrid detection, coverage — as sweeps over the
+// relationship tables.
 func BenchmarkInferenceFlat(b *testing.B) {
 	_, a := benchSetup(b)
 	a.Hybrids() // freeze the flat tables and link indexes once
@@ -463,23 +440,10 @@ func BenchmarkMRTVisit(b *testing.B) {
 	}
 }
 
-// BenchmarkDedupStringKey and BenchmarkDedupInterned compare the
-// displaced string-key path dedup (clean copy + byte-string key + Go
-// map) against the interned arena-hash dedup the dataset now runs on.
-// Workload and legacy baseline are benchkit's own, so these numbers
-// and the `experiments -bench` dedup pair measure identical work.
-func BenchmarkDedupStringKey(b *testing.B) {
-	_, a := benchSetup(b)
-	obs := benchkit.DedupWorkload(a.D6.Paths())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if benchkit.LegacyDedup(obs) == 0 {
-			b.Fatal("empty dedup")
-		}
-	}
-}
-
+// BenchmarkDedupInterned measures the interned arena-hash path dedup
+// the dataset runs on. The workload is benchkit's own, so this number
+// and the `experiments -bench` dedup/interned row measure identical
+// work.
 func BenchmarkDedupInterned(b *testing.B) {
 	_, a := benchSetup(b)
 	obs := benchkit.DedupWorkload(a.D6.Paths())
@@ -547,7 +511,7 @@ func BenchmarkPropagation(b *testing.B) {
 func BenchmarkValleyFreeBFS(b *testing.B) {
 	w, _ := benchSetup(b)
 	g := w.Internet.Graph6
-	t := w.Internet.Truth6
+	t := intern.FromTable(w.Internet.Truth6)
 	src := g.Nodes()[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,11 +18,10 @@
 // The command exits non-zero if any invariant fails.
 //
 // With -bench the hot-path benchmark suite (internal/benchkit) runs
-// instead: sequential, visitor-decode and parallel ingest, the dedup
-// microbenchmark pair, the dual-stack join and inference derived
-// products in both the interned and the legacy map representation, the
+// instead: sequential, visitor-decode and parallel ingest, the path
+// dedup, the dual-stack join and inference derived products, the
 // snapshot codec, and the serving layer's per-AS and per-link
-// endpoints (the latter bare and fully instrumented, bounding the
+// endpoints (the latter bare and fully instrumented, measuring the
 // observability middleware's overhead), plus the Internet-scale
 // section: the sharded world generator at the 600 and 10k tiers and
 // the snapshot load modes over those worlds (v1 streaming decode vs
@@ -60,6 +59,7 @@ import (
 	"hybridrel/internal/infer"
 	"hybridrel/internal/infer/gao"
 	"hybridrel/internal/infer/rank"
+	"hybridrel/internal/intern"
 	"hybridrel/internal/report"
 	"hybridrel/internal/scenario"
 	"hybridrel/internal/serve"
@@ -91,6 +91,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
+	}
+	if *topN < 0 {
+		fmt.Fprintf(stderr, "experiments: -top must be >= 0, got %d\n", *topN)
+		return cli.ErrUsage
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -364,13 +368,13 @@ func figure1(out io.Writer) error {
 	for _, l := range [][2]asrel.ASN{{1, 2}, {1, 3}, {2, 4}, {2, 5}} {
 		g.AddLink(l[0], l[1])
 	}
-	mk := func(rel12 asrel.Rel) *asrel.Table {
+	mk := func(rel12 asrel.Rel) *intern.Table {
 		t := asrel.NewTable()
 		t.Set(1, 2, rel12)
 		t.Set(1, 3, asrel.P2C)
 		t.Set(2, 4, asrel.P2C)
 		t.Set(2, 5, asrel.P2C)
-		return t
+		return intern.FromTable(t)
 	}
 	t := report.NewTable("F1 — customer tree of AS1 as link 1–2 flips (Figure 1)",
 		"link 1–2", "customer tree of AS1", "paper")
@@ -430,7 +434,7 @@ func x1(out io.Writer, w *hybridrel.World, a *core.Analysis) error {
 		"algorithm", "coverage", "accuracy", "accuracy on hybrid links")
 	for _, row := range []struct {
 		name string
-		tbl  *asrel.Table
+		tbl  *intern.Table
 	}{
 		{"gao (2001)", gao6.Table},
 		{"as-rank style", rank6.Table},

@@ -52,12 +52,19 @@ func TestRunFlagErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "no-such-family") {
 		t.Fatalf("bad -scenario: err = %v, want named error", err)
 	}
+	errb.Reset()
+	if err := run([]string{"-top", "-1", "-scale", "small"}, &out, &errb); !errors.Is(err, cli.ErrUsage) {
+		t.Fatalf("-top -1: err = %v, want cli.ErrUsage", err)
+	}
+	if !strings.Contains(errb.String(), "-top") {
+		t.Errorf("stderr did not name -top: %q", errb.String())
+	}
 }
 
 // TestRunBenchSmoke runs the benchmark suite in its CI smoke mode (one
 // iteration per benchmark, short tier) and pins the report schema: the
 // JSON written to -benchout must decode into a benchkit.Report whose
-// suite covers both representations of the join and inference paths.
+// suite covers every named benchmark and same-run comparison.
 func TestRunBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke builds a scenario world; skipped under -short")
@@ -92,9 +99,7 @@ func TestRunBenchSmoke(t *testing.T) {
 	}
 	for _, want := range []string{
 		"ingest/sequential", "ingest/visit", "ingest/parallel",
-		"dedup/stringkey", "dedup/interned",
-		"join/map", "join/flat",
-		"inference/map", "inference/flat",
+		"dedup/interned", "join/flat", "inference/flat",
 		"snapshot/encode", "snapshot/decode", "serve/as",
 		"infer/full", "infer/incremental",
 		"serve/rel", "serve/rel-instrumented",
@@ -106,8 +111,8 @@ func TestRunBenchSmoke(t *testing.T) {
 			t.Errorf("benchmark %s missing from the suite", want)
 		}
 	}
-	if len(rep.Comparisons) != 7 {
-		t.Fatalf("got %d comparisons, want 7 (join, inference, dedup, live-infer, serve-obs, mmap-load, mmap-tier)", len(rep.Comparisons))
+	if len(rep.Comparisons) != 4 {
+		t.Fatalf("got %d comparisons, want 4 (live-infer, serve-obs, mmap-load, mmap-tier)", len(rep.Comparisons))
 	}
 	if rep.Scenario != "tunnel-heavy" || rep.World.DualStack == 0 {
 		t.Errorf("report world looks wrong: %+v", rep.World)
@@ -169,7 +174,7 @@ func TestRunScenariosJSON(t *testing.T) {
 		t.Fatalf("matrix reported %d scenarios, want >= 6", len(results))
 	}
 	for _, r := range results {
-		if len(r.Invariants) != 6 || !(&r).InvariantsOK() {
+		if len(r.Invariants) != 5 || !(&r).InvariantsOK() {
 			t.Errorf("%s: invariants %+v", r.Name, r.Invariants)
 		}
 		if len(r.Planes) != 2 {

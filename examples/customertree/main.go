@@ -13,6 +13,7 @@ import (
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/ctree"
 	"hybridrel/internal/infer/rank"
+	"hybridrel/internal/intern"
 	"hybridrel/internal/topology"
 )
 
@@ -31,7 +32,7 @@ func main() {
 		t.Set(1, 3, asrel.P2C)
 		t.Set(2, 4, asrel.P2C)
 		t.Set(2, 5, asrel.P2C)
-		tree := ctree.Tree(g, t, 1)
+		tree := ctree.Tree(g, intern.FromTable(t), 1)
 		fmt.Printf("Figure 1: link 1–2 = %s → customer tree of AS1 has %d members: ", rel12, len(tree))
 		for _, n := range g.Nodes() {
 			if tree[n] {

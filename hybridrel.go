@@ -49,6 +49,7 @@ import (
 	"hybridrel/internal/core"
 	"hybridrel/internal/gen"
 	"hybridrel/internal/infer/locpref"
+	"hybridrel/internal/intern"
 	"hybridrel/internal/obs"
 	"hybridrel/internal/pipeline"
 	"hybridrel/internal/serve"
@@ -63,8 +64,9 @@ type (
 	Rel = asrel.Rel
 	// LinkKey canonically identifies an undirected AS link.
 	LinkKey = asrel.LinkKey
-	// RelTable maps links to relationships.
-	RelTable = asrel.Table
+	// RelTable is a frozen relationship table: the per-plane tables an
+	// Analysis and a Snapshot expose (Rel4, Rel6).
+	RelTable = intern.Table
 	// HybridClass categorizes how a dual-stack link's relationships
 	// differ between planes.
 	HybridClass = asrel.HybridClass

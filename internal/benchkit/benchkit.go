@@ -5,12 +5,11 @@
 // and reports ns/op with per-op allocation counts as machine-readable
 // JSON (the BENCH_*.json trajectory CI uploads on every change).
 //
-// The suite measures both topology representations in the same run —
-// the interned flat-table/CSR core the repository now runs on and the
-// map-based algorithms it replaced (kept alive in core's legacy
-// reference file) — so the interned path's speedup and allocation
-// savings are always quantified against the exact baseline it
-// displaced, on the exact same world, in the exact same process.
+// Paired rows measured in the same run on the same world — a live
+// resolve against a full recompute, an instrumented server against a
+// bare one, an mmap load against a full decode or against a smaller
+// tier — are reported as comparisons with stated targets; the absolute
+// rows are diffed against a committed baseline report (CompareReports).
 //
 // The harness is deliberately not `go test -bench`: cmd/experiments
 // must run it from a plain binary with a controllable per-benchmark
@@ -46,20 +45,6 @@ import (
 	"hybridrel/internal/snapshot"
 	"hybridrel/internal/testutil"
 )
-
-// Targets for the interned-vs-map comparisons, as stated in the PR
-// that introduced the interned core: at least 2× faster and at least
-// 30% fewer allocations per op on inference and the dual-stack join.
-const (
-	TargetSpeedup    = 2.0
-	TargetAllocRatio = 0.7
-)
-
-// DedupTargetAllocRatio is the dedup pair's allocation gate: the
-// interned arena-hash dedup must allocate at most a tenth of what the
-// string-key map dedup does on the same observation stream (the
-// measured baseline is ~0.01×), at no wall-clock cost (speedup ≥ 1).
-const DedupTargetAllocRatio = 0.1
 
 // LiveTargetSpeedup is the live ingester's incremental re-inference
 // gate: with a small flap cycle keeping at most ~1% of a plane's links
@@ -117,8 +102,7 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
-// Comparison relates an interned benchmark to its map-based baseline
-// from the same run.
+// Comparison relates a benchmark to its baseline from the same run.
 type Comparison struct {
 	Name             string  `json:"name"`
 	Baseline         string  `json:"baseline"`
@@ -249,7 +233,6 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 	// Force every lazily-built structure once, so the benchmarks below
 	// measure steady-state queries, not first-touch construction.
 	snap := snapshot.Capture(a)
-	m4, m6 := a.D4.LinkMap(), a.D6.LinkMap()
 
 	report := &Report{
 		Scenario:  opt.Scenario,
@@ -332,15 +315,9 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 		}
 	})
 
-	// Dedup microbenchmark pair: the same observation stream pushed
-	// through the displaced string-key map dedup and the interned
-	// arena-hash dedup that replaced it.
+	// Dedup: the plane's observation stream, duplicates included,
+	// pushed through the interned arena-hash path dedup.
 	obsPaths := DedupWorkload(a.D6.Paths())
-	add("dedup/stringkey", func() {
-		if LegacyDedup(obsPaths) == 0 {
-			panic("empty dedup")
-		}
-	})
 	add("dedup/interned", func() {
 		d := dataset.New(asrel.IPv6)
 		for _, p := range obsPaths {
@@ -353,13 +330,7 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 		}
 	})
 
-	// Dual-stack join: the seed's sort-and-probe over map link sets
-	// versus the interned two-pointer sweep over the frozen indexes.
-	add("join/map", func() {
-		if core.LegacyDualStack(m4, m6) == nil {
-			panic("empty join")
-		}
-	})
+	// Dual-stack join: the two-pointer sweep over the frozen indexes.
 	add("join/flat", func() {
 		if dataset.DualStack(a.D4, a.D6) == nil {
 			panic("empty join")
@@ -367,13 +338,7 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 	})
 
 	// Inference derived products: join + hybrid detection + coverage,
-	// map-probing versus flat sweeps.
-	add("inference/map", func() {
-		_, hyb, cov := a.LegacyProducts(m4, m6)
-		if len(hyb) == 0 || cov.DualStack == 0 {
-			panic("empty products")
-		}
-	})
+	// as flat sweeps over the relationship tables.
 	add("inference/flat", func() {
 		_, hyb, cov := a.ComputeProducts()
 		if len(hyb) == 0 || cov.DualStack == 0 {
@@ -611,44 +576,6 @@ func DedupWorkload(paths []*dataset.PathObs) [][]asrel.ASN {
 	return out
 }
 
-// LegacyDedup is the displaced string-key dedup, preserved verbatim as
-// the microbenchmark baseline: clean with a copy and a map-backed loop
-// check, key with a freshly allocated big-endian byte string, probe a
-// Go map. The interned arena-hash path replaced exactly this. It
-// returns the number of unique loop-free paths. Exported for the same
-// reason as DedupWorkload: one baseline definition for both benchmark
-// surfaces.
-func LegacyDedup(obsPaths [][]asrel.ASN) int {
-	paths := make(map[string]int)
-	for _, raw := range obsPaths {
-		out := make([]asrel.ASN, 0, len(raw))
-		for _, a := range raw {
-			if len(out) > 0 && out[len(out)-1] == a {
-				continue
-			}
-			out = append(out, a)
-		}
-		seen := make(map[asrel.ASN]bool, len(out))
-		loop := false
-		for _, a := range out {
-			if seen[a] {
-				loop = true
-				break
-			}
-			seen[a] = true
-		}
-		if loop {
-			continue
-		}
-		key := make([]byte, 0, 4*len(out))
-		for _, a := range out {
-			key = append(key, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-		}
-		paths[string(key)]++
-	}
-	return len(paths)
-}
-
 func benchtimeLabel(opt Options) string {
 	if opt.Once {
 		return "1x"
@@ -659,7 +586,7 @@ func benchtimeLabel(opt Options) string {
 	return opt.Benchtime.String()
 }
 
-// compare pairs the interned benchmarks with their map baselines.
+// compare pairs each benchmark with its same-run baseline.
 func compare(results []Result) []Comparison {
 	byName := make(map[string]Result, len(results))
 	for _, r := range results {
@@ -670,12 +597,6 @@ func compare(results []Result) []Comparison {
 		name, baseline, interned        string
 		targetSpeedup, targetAllocRatio float64
 	}{
-		{"join", "join/map", "join/flat", TargetSpeedup, TargetAllocRatio},
-		{"inference", "inference/map", "inference/flat", TargetSpeedup, TargetAllocRatio},
-		// The dedup rework is an allocation optimization: the gate is
-		// near-elimination of per-observation allocations without
-		// giving back wall-clock against the string-key map.
-		{"dedup", "dedup/stringkey", "dedup/interned", 1.0, DedupTargetAllocRatio},
 		// Live re-inference: the full recompute is the baseline the
 		// dirty-set path must beat 5× on a small flap cycle.
 		{"live-infer", "infer/full", "infer/incremental", LiveTargetSpeedup, 1.0},

@@ -70,65 +70,29 @@ type Analysis struct {
 	Comm4, Comm6 *communityinfer.Result
 	Loc4, Loc6   *locpref.Result
 
-	// Rel4 / Rel6 are the merged relationship tables (communities first,
-	// LocPrf additions second).
-	Rel4, Rel6 *asrel.Table
+	// Rel4 / Rel6 are the merged relationship tables, one per plane:
+	// communities first, LocPrf filling the links they leave
+	// unclassified. Every derived-product sweep and the snapshot codec
+	// read them; they are immutable.
+	Rel4, Rel6 *intern.Table
 
 	graph6 *topology.Graph
 
 	// memo caches the derived products behind once-guards.
 	memo struct {
-		flatOnce     sync.Once
-		flat4, flat6 *intern.Table
-		dualOnce     sync.Once
-		dual         []asrel.LinkKey
-		hybOnce      sync.Once
-		hybrids      []HybridLink
-		covOnce      sync.Once
-		coverage     Coverage
-		censusOnce   sync.Once
-		census       HybridCensus
-		visOnce      sync.Once
-		visibility   Visibility
-		valOnce      sync.Once
-		valley       valley.Stats
+		dualOnce   sync.Once
+		dual       []asrel.LinkKey
+		hybOnce    sync.Once
+		hybrids    []HybridLink
+		covOnce    sync.Once
+		coverage   Coverage
+		censusOnce sync.Once
+		census     HybridCensus
+		visOnce    sync.Once
+		visibility Visibility
+		valOnce    sync.Once
+		valley     valley.Stats
 	}
-}
-
-// flatTables builds the interned flat form of the merged relationship
-// tables — the representation every derived-product sweep and the
-// snapshot codec operate on. The per-plane inference components are
-// frozen individually and merged with the two-pointer intern.Merge
-// (communities win, LocPrf fills the gaps — the same overlay the
-// map-based merge applies to Rel4/Rel6); the interned-equivalence
-// invariant holds the two merge implementations identical on every
-// scenario family. An Analysis without inference components (none are
-// built today) would fall back to freezing the merged map tables.
-func (a *Analysis) flatTables() (f4, f6 *intern.Table) {
-	a.memo.flatOnce.Do(func() {
-		if a.Comm4 != nil && a.Loc4 != nil && a.Comm6 != nil && a.Loc6 != nil {
-			a.memo.flat4 = intern.Merge(intern.FromTable(a.Comm4.Table), intern.FromTable(a.Loc4.Table))
-			a.memo.flat6 = intern.Merge(intern.FromTable(a.Comm6.Table), intern.FromTable(a.Loc6.Table))
-			return
-		}
-		a.memo.flat4 = intern.FromTable(a.Rel4)
-		a.memo.flat6 = intern.FromTable(a.Rel6)
-	})
-	return a.memo.flat4, a.memo.flat6
-}
-
-// Flat4 returns the frozen IPv4 relationship table. It is identical in
-// content to Rel4; hot paths prefer it for cache-friendly lookups and
-// in-order iteration.
-func (a *Analysis) Flat4() *intern.Table {
-	f4, _ := a.flatTables()
-	return f4
-}
-
-// Flat6 returns the frozen IPv6 relationship table.
-func (a *Analysis) Flat6() *intern.Table {
-	_, f6 := a.flatTables()
-	return f6
 }
 
 // Run executes the full pipeline from raw inputs. It is the v1
@@ -157,49 +121,35 @@ func RunPipeline(ctx context.Context, in pipeline.Sources, opts ...pipeline.Opti
 
 // FromResult assembles an Analysis from the pipeline's products.
 func FromResult(res *pipeline.Result) *Analysis {
-	a := &Analysis{
-		D4: res.D4, D6: res.D6, Dict: res.Dict,
-		Comm4: res.Comm4, Comm6: res.Comm6,
-		Loc4: res.Loc4, Loc6: res.Loc6,
-	}
-	a.Rel4 = merge(res.Comm4.Table, res.Loc4.Table)
-	a.Rel6 = merge(res.Comm6.Table, res.Loc6.Table)
-	a.graph6 = res.D6.Graph()
-	return a
+	return Assemble(res.D4, res.D6, res.Dict, res.Comm4, res.Comm6, res.Loc4, res.Loc6)
 }
 
-// Assemble builds an Analysis from externally-computed inference
-// results — the constructor of the live incremental path, which
-// maintains the four per-plane tables itself and snapshots them on a
-// cadence. The merge overlay and derived-product machinery are exactly
-// the ones Analyze and FromResult use, so a snapshot captured from an
-// assembled Analysis is byte-identical to the batch one whenever the
+// Assemble builds an Analysis from per-plane inference results. It is
+// the one constructor: the batch entry points call it, and so does the
+// live incremental path, which maintains the four per-plane tables
+// itself and snapshots them on a cadence — so a snapshot captured from
+// a live Analysis is byte-identical to the batch one whenever the
 // tables and datasets agree.
 func Assemble(d4, d6 *dataset.Dataset, dict *community.Dictionary,
 	comm4, comm6 *communityinfer.Result, loc4, loc6 *locpref.Result) *Analysis {
-	a := &Analysis{
+	return &Analysis{
 		D4: d4, D6: d6, Dict: dict,
 		Comm4: comm4, Comm6: comm6,
 		Loc4: loc4, Loc6: loc6,
+		Rel4:   intern.Merge(comm4.Table, loc4.Table),
+		Rel6:   intern.Merge(comm6.Table, loc6.Table),
+		graph6: d6.Graph(),
 	}
-	a.Rel4 = merge(comm4.Table, loc4.Table)
-	a.Rel6 = merge(comm6.Table, loc6.Table)
-	a.graph6 = d6.Graph()
-	return a
 }
 
 // Analyze runs the inference stack over already-ingested datasets.
 func Analyze(d4, d6 *dataset.Dataset, dict *community.Dictionary, opt Options) *Analysis {
-	a := &Analysis{D4: d4, D6: d6, Dict: dict}
 	paths4, paths6 := d4.Paths(), d6.Paths()
-	a.Comm4 = communityinfer.Infer(paths4, dict)
-	a.Comm6 = communityinfer.Infer(paths6, dict)
-	a.Loc4 = locpref.Infer(paths4, dict, a.Comm4.Table, opt.LocPref)
-	a.Loc6 = locpref.Infer(paths6, dict, a.Comm6.Table, opt.LocPref)
-	a.Rel4 = merge(a.Comm4.Table, a.Loc4.Table)
-	a.Rel6 = merge(a.Comm6.Table, a.Loc6.Table)
-	a.graph6 = d6.Graph()
-	return a
+	comm4 := communityinfer.Infer(paths4, dict)
+	comm6 := communityinfer.Infer(paths6, dict)
+	loc4 := locpref.Infer(paths4, dict, comm4.Table, opt.LocPref)
+	loc6 := locpref.Infer(paths6, dict, comm6.Table, opt.LocPref)
+	return Assemble(d4, d6, dict, comm4, comm6, loc4, loc6)
 }
 
 // dualStack memoizes the dual-stack join of the two planes.
@@ -208,17 +158,6 @@ func (a *Analysis) dualStack() []asrel.LinkKey {
 		a.memo.dual = dataset.DualStack(a.D4, a.D6)
 	})
 	return a.memo.dual
-}
-
-// merge overlays additions onto base; base entries win on conflict.
-func merge(base, additions *asrel.Table) *asrel.Table {
-	out := base.Clone()
-	additions.Links(func(k asrel.LinkKey, r asrel.Rel) {
-		if !out.GetKey(k).Known() {
-			out.SetKey(k, r)
-		}
-	})
-	return out
 }
 
 // Coverage is the dataset-summary table (§3 ¶1 of the paper).
@@ -241,18 +180,16 @@ func (c Coverage) Share6() float64 { return stats.Ratio(c.Classified6, c.Links6)
 // ShareDual returns ClassifiedDual/DualStack (the paper's 81%).
 func (c Coverage) ShareDual() float64 { return stats.Ratio(c.ClassifiedDual, c.DualStack) }
 
-// computeCoverage builds the dataset summary from the interned flat
-// representation: one sweep over the dual-stack join against both
-// frozen tables, one sweep over the IPv6 link index against the frozen
-// IPv6 table. No hash probes anywhere.
+// computeCoverage builds the dataset summary: one sweep over the
+// dual-stack join against both relationship tables, one sweep over the
+// IPv6 link index against the IPv6 table. No hash probes anywhere.
 func (a *Analysis) computeCoverage(dual []asrel.LinkKey) Coverage {
-	f4, f6 := a.flatTables()
 	c := Coverage{
 		Paths6: a.D6.NumUniquePaths(),
 		Links6: a.D6.NumLinks(),
 		Links4: a.D4.NumLinks(),
 	}
-	intern.Sweep(dual, f4, f6, func(_ asrel.LinkKey, r4, r6 asrel.Rel) {
+	intern.Sweep(dual, a.Rel4, a.Rel6, func(_ asrel.LinkKey, r4, r6 asrel.Rel) {
 		c.DualStack++
 		if r6.Known() {
 			c.ClassifiedDual++
@@ -261,7 +198,7 @@ func (a *Analysis) computeCoverage(dual []asrel.LinkKey) Coverage {
 			}
 		}
 	})
-	intern.SweepCounts(a.D6.Flat(), f6, func(_ asrel.LinkKey, _ int, r asrel.Rel) {
+	intern.SweepCounts(a.D6.Flat(), a.Rel6, func(_ asrel.LinkKey, _ int, r asrel.Rel) {
 		if r.Known() {
 			c.Classified6++
 		}
@@ -289,12 +226,11 @@ type HybridLink struct {
 }
 
 // computeHybrids runs the detection pass over the dual-stack join as
-// one sweep against both frozen tables; only the (sparse) hybrid hits
-// pay a per-link visibility lookup.
+// one sweep against both relationship tables; only the (sparse) hybrid
+// hits pay a per-link visibility lookup.
 func (a *Analysis) computeHybrids(dual []asrel.LinkKey) []HybridLink {
-	f4, f6 := a.flatTables()
 	var out []HybridLink
-	intern.Sweep(dual, f4, f6, func(k asrel.LinkKey, v4, v6 asrel.Rel) {
+	intern.Sweep(dual, a.Rel4, a.Rel6, func(k asrel.LinkKey, v4, v6 asrel.Rel) {
 		cls := asrel.Classify(v4, v6)
 		if cls == asrel.NotHybrid {
 			return
@@ -326,10 +262,9 @@ func (a *Analysis) hybridList() []HybridLink {
 }
 
 // ComputeProducts recomputes the dual-stack join, the hybrid list, and
-// the coverage summary from scratch on the interned flat
-// representation, bypassing the memo cache. It exists for the
-// benchmark suite and the interned-vs-legacy equivalence invariant;
-// normal callers use the memoized accessors.
+// the coverage summary from scratch, bypassing the memo cache. It
+// exists for the benchmark suite and the memo-consistency test; normal
+// callers use the memoized accessors.
 func (a *Analysis) ComputeProducts() (dual []asrel.LinkKey, hybrids []HybridLink, cov Coverage) {
 	dual = dataset.DualStack(a.D4, a.D6)
 	return dual, a.computeHybrids(dual), a.computeCoverage(dual)
@@ -441,8 +376,9 @@ func (a *Analysis) ValleyReport() valley.Stats {
 // BaselineV6 builds the single-plane baseline annotation that Figure 2
 // starts from — the [4]-style dataset: dual-stack links inherit the
 // IPv4-plane inference (hybrids are necessarily wrong), IPv6-only links
-// take the IPv6-plane inference.
-func (a *Analysis) BaselineV6(infer4, infer6 *asrel.Table) *asrel.Table {
+// take the IPv6-plane inference. The result is mutable: it is the
+// starting point the Figure-2 sweep corrects one link at a time.
+func (a *Analysis) BaselineV6(infer4, infer6 *intern.Table) *asrel.Table {
 	out := asrel.NewTable()
 	for _, k := range a.D6.Links() {
 		if a.D4.HasLink(k) {
@@ -462,12 +398,11 @@ func (a *Analysis) BaselineV6(infer4, infer6 *asrel.Table) *asrel.Table {
 // annotation, the topN most visible hybrid links are corrected one at a
 // time to their communities-derived IPv6 relationship, measuring the
 // union-of-customer-trees metric after every correction. maxSources
-// bounds the valley-free sampling (0 = exact).
+// bounds the valley-free sampling (0 = exact). topN is clamped to
+// [0, number of hybrids].
 func (a *Analysis) Figure2(baseline *asrel.Table, topN, maxSources int) []ctree.SweepPoint {
 	hybrids := a.Hybrids()
-	if topN > len(hybrids) {
-		topN = len(hybrids)
-	}
+	topN = min(max(topN, 0), len(hybrids))
 	corrections := make([]ctree.Correction, 0, topN)
 	for _, h := range hybrids[:topN] {
 		corrections = append(corrections, ctree.Correction{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"hybridrel/internal/asrel"
@@ -43,6 +44,27 @@ func TestCoverage(t *testing.T) {
 	}
 	t.Logf("paths=%d links6=%d dual=%d share6=%.2f shareDual=%.2f",
 		c.Paths6, c.Links6, c.DualStack, c.Share6(), c.ShareDual())
+}
+
+// TestMemoizedProductsMatchRecomputation holds the memoized accessors
+// to a from-scratch recomputation: once cached, Hybrids, Coverage and
+// the dual-stack join must equal what ComputeProducts derives anew.
+func TestMemoizedProductsMatchRecomputation(t *testing.T) {
+	_, a := analyzeSmall(t)
+	hyb, cov := a.Hybrids(), a.Coverage()
+	dual, freshHyb, freshCov := a.ComputeProducts()
+	if len(dual) == 0 || len(freshHyb) == 0 {
+		t.Fatal("small world has no dual-stack hybrids; the comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(a.dualStack(), dual) {
+		t.Errorf("memoized dual-stack join (%d links) differs from recomputation (%d)", len(a.dualStack()), len(dual))
+	}
+	if !reflect.DeepEqual(hyb, freshHyb) {
+		t.Errorf("memoized hybrid list (%d) differs from recomputation (%d)", len(hyb), len(freshHyb))
+	}
+	if cov != freshCov {
+		t.Errorf("memoized coverage differs from recomputation:\nmemo  %+v\nfresh %+v", cov, freshCov)
+	}
 }
 
 func TestHybridDetectionMatchesPlanted(t *testing.T) {
@@ -191,6 +213,16 @@ func TestFigure2Sweep(t *testing.T) {
 	t.Logf("figure2: avg %.2f→%.2f (full %.2f), diameter %d→%d, pairs %d→%d over %d corrections",
 		first.Avg, last.Avg, corrected.Avg, first.Diameter, last.Diameter,
 		first.Pairs, last.Pairs, len(pts)-1)
+}
+
+func TestFigure2ClampsNegativeTopN(t *testing.T) {
+	_, a := analyzeSmall(t)
+	baseline := a.BaselineV6(a.Rel4, a.Rel6)
+	for _, topN := range []int{-1, 0} {
+		if pts := a.Figure2(baseline, topN, 0); len(pts) != 1 || pts[0].Corrected != 0 {
+			t.Errorf("Figure2(topN=%d) = %d points, want only the uncorrected baseline", topN, len(pts))
+		}
+	}
 }
 
 func TestBaselineV6Construction(t *testing.T) {

@@ -10,35 +10,36 @@ import (
 	"sort"
 
 	"hybridrel/internal/asrel"
+	"hybridrel/internal/intern"
 	"hybridrel/internal/topology"
 )
 
 // Tree returns the customer tree of root under rels: every AS reachable
 // from root by descending p2c links, excluding the root.
-func Tree(g *topology.Graph, rels *asrel.Table, root asrel.ASN) map[asrel.ASN]bool {
+func Tree(g *topology.Graph, rels *intern.Table, root asrel.ASN) map[asrel.ASN]bool {
 	return g.CustomerCone(rels, root)
 }
 
 // TreeSize returns the number of ASes in root's customer tree.
-func TreeSize(g *topology.Graph, rels *asrel.Table, root asrel.ASN) int {
+func TreeSize(g *topology.Graph, rels *intern.Table, root asrel.ASN) int {
 	return len(Tree(g, rels, root))
 }
 
 // UnionGraph materializes the union of all customer trees: exactly the
 // links annotated p2c (every such link belongs to its provider's tree,
-// and every tree edge is such a link), with their annotations. The
-// returned table aliases nothing from rels.
-func UnionGraph(g *topology.Graph, rels *asrel.Table) (*topology.Graph, *asrel.Table) {
+// and every tree edge is such a link), with their annotations.
+func UnionGraph(g *topology.Graph, rels *intern.Table) (*topology.Graph, *intern.Table) {
 	ug := topology.New()
-	ut := asrel.NewTable()
+	var ut intern.TableBuilder
 	for _, k := range g.LinkKeys() {
 		r := rels.GetKey(k)
 		if r == asrel.P2C || r == asrel.C2P {
 			ug.AddLink(k.Lo, k.Hi)
-			ut.SetKey(k, r)
+			// LinkKeys is in canonical order, so Append cannot fail.
+			_ = ut.Append(k, r)
 		}
 	}
-	return ug, ut
+	return ug, ut.Table()
 }
 
 // Metric is the Figure-2 measurement of one annotated topology.
@@ -59,7 +60,7 @@ type Metric struct {
 // are computed from a deterministic sample of sources (every ceil(n/max)-th
 // node in ASN order), which scales the metric to large graphs; pass 0
 // for the exact all-pairs measurement.
-func MeasureUnion(g *topology.Graph, rels *asrel.Table, maxSources int) Metric {
+func MeasureUnion(g *topology.Graph, rels *intern.Table, maxSources int) Metric {
 	ug, ut := UnionGraph(g, rels)
 	m := Metric{Nodes: ug.NumNodes(), Links: ug.NumLinks()}
 	if ug.NumNodes() == 0 {
@@ -90,7 +91,7 @@ func MeasureUnion(g *topology.Graph, rels *asrel.Table, maxSources int) Metric {
 //
 // With maxRoots > 0, roots are sampled deterministically (every
 // ceil(n/max)-th node in ASN order); pass 0 to measure every root.
-func MeasureTrees(g *topology.Graph, rels *asrel.Table, maxRoots int) Metric {
+func MeasureTrees(g *topology.Graph, rels *intern.Table, maxRoots int) Metric {
 	ug, _ := UnionGraph(g, rels)
 	m := Metric{Nodes: ug.NumNodes(), Links: ug.NumLinks()}
 	nodes := g.Nodes()
@@ -149,7 +150,8 @@ type SweepPoint struct {
 // Sweep reproduces Figure 2: starting from the base (mis-inferred)
 // annotation, corrections are applied cumulatively in descending
 // visibility order, measuring the customer-tree metric (MeasureTrees)
-// at every step. The base table is not modified.
+// at every step. The base table is not modified: the corrections go
+// into a working copy, frozen once per step for measuring.
 func Sweep(g *topology.Graph, base *asrel.Table, corrections []Correction, maxSources int) []SweepPoint {
 	ordered := append([]Correction(nil), corrections...)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -164,10 +166,10 @@ func Sweep(g *topology.Graph, base *asrel.Table, corrections []Correction, maxSo
 	})
 	work := base.Clone()
 	out := make([]SweepPoint, 0, len(ordered)+1)
-	out = append(out, SweepPoint{Corrected: 0, Metric: MeasureTrees(g, work, maxSources)})
+	out = append(out, SweepPoint{Corrected: 0, Metric: MeasureTrees(g, intern.FromTable(work), maxSources)})
 	for i, c := range ordered {
 		work.SetKey(c.Key, c.Rel)
-		out = append(out, SweepPoint{Corrected: i + 1, Metric: MeasureTrees(g, work, maxSources)})
+		out = append(out, SweepPoint{Corrected: i + 1, Metric: MeasureTrees(g, intern.FromTable(work), maxSources)})
 	}
 	return out
 }

@@ -854,18 +854,6 @@ func (d *Dataset) HasLink(k asrel.LinkKey) bool { return d.Flat().Has(k) }
 // LinkVisibility returns how many unique paths traverse the link.
 func (d *Dataset) LinkVisibility(k asrel.LinkKey) int { return d.Flat().Get(k) }
 
-// LinkMap materializes the map-keyed link-visibility index the
-// pre-interned implementation maintained during ingest. It exists for
-// the legacy reference path: the map-vs-flat benchmarks and the
-// interned-equivalence invariant both need the old representation to
-// compare against.
-func (d *Dataset) LinkMap() map[asrel.LinkKey]int {
-	f := d.Flat()
-	out := make(map[asrel.LinkKey]int, f.Len())
-	f.Each(func(k asrel.LinkKey, n int) { out[k] = n })
-	return out
-}
-
 // Graph materializes the observed topology as a graph.
 func (d *Dataset) Graph() *topology.Graph {
 	g := topology.New()

@@ -431,11 +431,11 @@ func (b *builder) buildV6() {
 		if !a.IPv6 || a.Tier == topology.Tier1 || asn == hub {
 			continue
 		}
-		if in.Graph6.ProviderDegree(in.Truth6, asn) > 0 {
+		if len(in.related(asrel.IPv6, asn, asrel.C2P)) > 0 {
 			continue
 		}
 		fixed := false
-		for _, p := range in.Graph4.Providers(in.Truth4, asn) {
+		for _, p := range in.related(asrel.IPv4, asn, asrel.C2P) {
 			if in.ASes[p].IPv6 && in.Graph6.AddLink(p, asn) {
 				in.Truth6.Set(p, asn, asrel.P2C)
 				fixed = true
@@ -600,13 +600,13 @@ func (b *builder) plantHybrids() {
 				continue
 			}
 			cust := h.Key.Other(in.FreeTransitHub)
-			if in.Graph6.ProviderDegree(in.Truth6, cust) > 1 {
+			if len(in.related(asrel.IPv6, cust, asrel.C2P)) > 1 {
 				continue
 			}
 			if b.rng.Float64() >= 0.8 {
 				continue // a few networks do run IPv6 on free transit alone
 			}
-			for _, p := range in.Graph4.Providers(in.Truth4, cust) {
+			for _, p := range in.related(asrel.IPv4, cust, asrel.C2P) {
 				if in.ASes[p].IPv6 && p != in.FreeTransitHub && in.Graph6.AddLink(p, cust) {
 					in.Truth6.Set(p, cust, asrel.P2C)
 					break
@@ -622,7 +622,7 @@ func (b *builder) plantHybrids() {
 		if in.Truth4.GetKey(k) == asrel.P2C { // Lo is the provider
 			cust = k.Hi
 		}
-		return in.Graph6.ProviderDegree(in.Truth6, cust) > 1
+		return len(in.related(asrel.IPv6, cust, asrel.C2P)) > 1
 	}
 	for _, k := range b.weightedLinks(transits, wantH2, weightH2, okH2) {
 		// Re-check at apply time: an earlier flip in this batch may have
@@ -644,7 +644,7 @@ func (b *builder) plantHybrids() {
 		if in.ASes[prov].Tier == topology.Tier1 {
 			return false
 		}
-		return in.Graph6.ProviderDegree(in.Truth6, cust) > 1
+		return len(in.related(asrel.IPv6, cust, asrel.C2P)) > 1
 	}
 	for _, k := range b.weightedLinks(transits, wantH3, weight, okH3) {
 		if !okH3(k) {

@@ -109,17 +109,17 @@ func TestProvidersExist(t *testing.T) {
 		if a.Tier == topology.Tier1 {
 			continue
 		}
-		if in.Graph4.ProviderDegree(in.Truth4, asn) == 0 {
+		if len(in.related(asrel.IPv4, asn, asrel.C2P)) == 0 {
 			t.Errorf("%s has no v4 provider", asn)
 		}
 		if asn == in.FreeTransitHub {
 			// The hub is transit-free in IPv6 by design.
-			if in.Graph6.ProviderDegree(in.Truth6, asn) != 0 {
+			if len(in.related(asrel.IPv6, asn, asrel.C2P)) != 0 {
 				t.Errorf("hub %s has a v6 provider", asn)
 			}
 			continue
 		}
-		if a.IPv6 && in.Graph6.ProviderDegree(in.Truth6, asn) == 0 {
+		if a.IPv6 && len(in.related(asrel.IPv6, asn, asrel.C2P)) == 0 {
 			t.Errorf("%s has no v6 provider", asn)
 		}
 	}

@@ -160,6 +160,21 @@ func (in *Internet) TruthFor(af asrel.AF) *asrel.Table {
 	return in.Truth4
 }
 
+// related returns a's neighbours in the af plane whose planted
+// relationship (a toward the neighbour) is want, in adjacency order.
+// The builder asks this between plantings, so it reads the mutable
+// truth table directly instead of freezing a copy per question.
+func (in *Internet) related(af asrel.AF, a asrel.ASN, want asrel.Rel) []asrel.ASN {
+	truth := in.TruthFor(af)
+	var out []asrel.ASN
+	for _, n := range in.GraphFor(af).Neighbors(a) {
+		if truth.Get(a, n) == want {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // PrefixesFor returns the prefixes the AS originates in the plane.
 func (a *AS) PrefixesFor(af asrel.AF) []netip.Prefix {
 	if af == asrel.IPv6 {

@@ -32,14 +32,14 @@ func (b *builder) assignLeaks() {
 		if !a.IPv6 || a.Tier == topology.Tier1 {
 			continue
 		}
-		up := append(in.Graph6.Providers(in.Truth6, t), in.Graph6.Peers(in.Truth6, t)...)
+		up := append(in.related(asrel.IPv6, t, asrel.C2P), in.related(asrel.IPv6, t, asrel.P2P)...)
 		if len(up) >= 2 {
 			cands = append(cands, t)
 		}
 	}
 	for i := 0; i < b.cfg.NumNoiseLeakers && len(cands) > 0; i++ {
 		at := cands[b.rng.Intn(len(cands))]
-		up := append(in.Graph6.Providers(in.Truth6, at), in.Graph6.Peers(in.Truth6, at)...)
+		up := append(in.related(asrel.IPv6, at, asrel.C2P), in.related(asrel.IPv6, at, asrel.P2P)...)
 		sort.Slice(up, func(x, y int) bool { return up[x] < up[y] })
 		via := up[b.rng.Intn(len(up))]
 		to := up[b.rng.Intn(len(up))]

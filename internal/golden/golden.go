@@ -55,6 +55,15 @@ func Small() Numbers {
 	}
 }
 
+// SmallSnapshotV2FNV is the FNV-64a hash of the canonical small
+// world's snapshot in format v2 (snapshot.EncodeV2 over
+// snapshot.Capture of the Small analysis). The headline numbers above
+// are aggregates; this pins every byte a server would load — each
+// relationship of both planes, each link's visibility, the hybrid
+// list — so a refactor that keeps the counts but moves one answer
+// shows up here.
+const SmallSnapshotV2FNV uint64 = 0xbb827e2f072a0f6f
+
 // AssertSmall fails the test wherever the analysis of the
 // canonical small world disagrees with the pinned headline numbers.
 func AssertSmall(t testing.TB, a *core.Analysis) {

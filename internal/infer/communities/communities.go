@@ -11,12 +11,13 @@ import (
 	"hybridrel/internal/community"
 	"hybridrel/internal/dataset"
 	"hybridrel/internal/infer"
+	"hybridrel/internal/intern"
 )
 
 // Result is the outcome of community mining.
 type Result struct {
 	// Table holds the resolved relationships.
-	Table *asrel.Table
+	Table *intern.Table
 	// Votes exposes the per-link evidence for diagnostics.
 	Votes *infer.VoteTable
 	// TaggedPaths counts paths that contributed at least one usable tag.

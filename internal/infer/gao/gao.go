@@ -18,6 +18,7 @@ import (
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/dataset"
 	"hybridrel/internal/infer"
+	"hybridrel/internal/intern"
 )
 
 // Config tunes the heuristic.
@@ -36,7 +37,7 @@ func DefaultConfig() Config { return Config{DegreeRatio: 60, MinDegree: 3} }
 
 // Result is the inference outcome.
 type Result struct {
-	Table *asrel.Table
+	Table *intern.Table
 	// Siblings counts links resolved as s2s from balanced conflicts.
 	Siblings int
 	// Peerings counts links resolved by the peering pass.
@@ -78,27 +79,34 @@ func Infer(paths []*dataset.PathObs, cfg Config) *Result {
 		}
 	}
 
-	res := &Result{Table: asrel.NewTable()}
-	for _, k := range votes.Keys() {
+	res := &Result{}
+	var b intern.TableBuilder
+	keys := votes.Keys()
+	b.Grow(len(keys))
+	for _, k := range keys {
 		v := votes.Get(k)
-		if topAdj[k] && !notPeer[k] &&
-			deg[k.Lo] >= cfg.MinDegree && deg[k.Hi] >= cfg.MinDegree &&
-			ratioOK(deg[k.Lo], deg[k.Hi], cfg.DegreeRatio) {
-			res.Table.SetKey(k, asrel.P2P)
-			res.Peerings++
-			continue
-		}
+		var r asrel.Rel
 		switch {
+		case topAdj[k] && !notPeer[k] &&
+			deg[k.Lo] >= cfg.MinDegree && deg[k.Hi] >= cfg.MinDegree &&
+			ratioOK(deg[k.Lo], deg[k.Hi], cfg.DegreeRatio):
+			r = asrel.P2P
+			res.Peerings++
 		case v.P2C > v.C2P:
-			res.Table.SetKey(k, asrel.P2C)
+			r = asrel.P2C
 		case v.C2P > v.P2C:
-			res.Table.SetKey(k, asrel.C2P)
+			r = asrel.C2P
 		case v.P2C > 0:
 			// Balanced conflicting transit annotations: sibling.
-			res.Table.SetKey(k, asrel.S2S)
+			r = asrel.S2S
 			res.Siblings++
+		default:
+			continue
 		}
+		// votes.Keys is in canonical order, so Append cannot fail.
+		_ = b.Append(k, r)
 	}
+	res.Table = b.Table()
 	return res
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"hybridrel/internal/asrel"
+	"hybridrel/internal/intern"
 )
 
 // Votes tallies directed relationship evidence for one link, normalized
@@ -75,7 +76,8 @@ func (v *Votes) Resolve() asrel.Rel {
 	}
 }
 
-// VoteTable accumulates Votes per link and resolves them into a Table.
+// VoteTable accumulates Votes per link and resolves them into a frozen
+// intern.Table.
 type VoteTable struct {
 	votes map[asrel.LinkKey]*Votes
 }
@@ -140,16 +142,21 @@ func (t *VoteTable) Keys() []asrel.LinkKey {
 // Len returns the number of links with votes.
 func (t *VoteTable) Len() int { return len(t.votes) }
 
-// Resolve produces the final relationship table; links resolving to
-// Unknown are omitted.
-func (t *VoteTable) Resolve() *asrel.Table {
-	out := asrel.NewTable()
+// Resolve produces the final relationship table, frozen and sorted by
+// packed key; links resolving to Unknown are omitted.
+func (t *VoteTable) Resolve() *intern.Table {
+	keys := make([]uint64, 0, len(t.votes))
 	for k, v := range t.votes {
-		if r := v.Resolve(); r.Known() {
-			out.SetKey(k, r)
+		if v.Resolve().Known() {
+			keys = append(keys, intern.Pack(k))
 		}
 	}
-	return out
+	intern.SortPacked(keys)
+	rels := make([]asrel.Rel, len(keys))
+	for i, u := range keys {
+		rels[i] = t.votes[intern.Unpack(u)].Resolve()
+	}
+	return intern.TableFromSorted(keys, rels)
 }
 
 // ClassCount is one relationship class's confusion tally, in the
@@ -232,7 +239,8 @@ func (s Score) Accuracy() float64 {
 }
 
 // ScoreTable grades inferred against truth over the given links.
-func ScoreTable(inferred, truth *asrel.Table, links []asrel.LinkKey) Score {
+// Truth is the generator's mutable planted table.
+func ScoreTable(inferred *intern.Table, truth *asrel.Table, links []asrel.LinkKey) Score {
 	var s Score
 	tally := func(r asrel.Rel, f func(*ClassCount)) {
 		if s.ByClass == nil {

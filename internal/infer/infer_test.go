@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hybridrel/internal/asrel"
+	"hybridrel/internal/intern"
 )
 
 func TestVotesOrientation(t *testing.T) {
@@ -92,7 +93,7 @@ func TestScoreTable(t *testing.T) {
 		asrel.Key(1, 2), asrel.Key(3, 4), asrel.Key(5, 6), asrel.Key(7, 8),
 		asrel.Key(9, 10), // no truth: not counted
 	}
-	s := ScoreTable(inferred, truth, links)
+	s := ScoreTable(intern.FromTable(inferred), truth, links)
 	if s.Total != 4 || s.Classified != 3 || s.Correct != 1 {
 		t.Errorf("score = %+v", s)
 	}
@@ -105,7 +106,7 @@ func TestScoreTable(t *testing.T) {
 	if s.Accuracy() != 1.0/3.0 {
 		t.Errorf("accuracy = %v", s.Accuracy())
 	}
-	empty := ScoreTable(inferred, asrel.NewTable(), links)
+	empty := ScoreTable(intern.FromTable(inferred), asrel.NewTable(), links)
 	if empty.Coverage() != 0 || empty.Accuracy() != 0 {
 		t.Error("empty score division")
 	}
@@ -130,7 +131,7 @@ func TestScorePerClass(t *testing.T) {
 		asrel.Key(1, 2), asrel.Key(3, 4), asrel.Key(5, 6),
 		asrel.Key(7, 8), asrel.Key(9, 10),
 	}
-	s := ScoreTable(inferred, truth, links)
+	s := ScoreTable(intern.FromTable(inferred), truth, links)
 
 	if got, want := s.Class(asrel.P2C), (ClassCount{TP: 1, FP: 1, FN: 1}); got != want {
 		t.Errorf("p2c = %+v, want %+v", got, want)
@@ -173,7 +174,7 @@ func TestScoreEmptyLinkSet(t *testing.T) {
 	inferred := asrel.NewTable()
 	inferred.Set(1, 2, asrel.P2C)
 
-	s := ScoreTable(inferred, truth, nil)
+	s := ScoreTable(intern.FromTable(inferred), truth, nil)
 	if s.Total != 0 || s.Classified != 0 || s.Correct != 0 {
 		t.Errorf("empty link set scored %+v", s)
 	}
@@ -194,7 +195,7 @@ func TestScoreAllUnclassified(t *testing.T) {
 	truth.Set(3, 4, asrel.P2P)
 	links := []asrel.LinkKey{asrel.Key(1, 2), asrel.Key(3, 4)}
 
-	s := ScoreTable(asrel.NewTable(), truth, links)
+	s := ScoreTable(new(intern.Table), truth, links)
 	if s.Total != 2 || s.Classified != 0 || s.Correct != 0 {
 		t.Errorf("all-unclassified scored %+v", s)
 	}

@@ -26,6 +26,7 @@ import (
 	"hybridrel/internal/community"
 	"hybridrel/internal/dataset"
 	"hybridrel/internal/infer"
+	"hybridrel/internal/intern"
 )
 
 // Config tunes the calibration.
@@ -46,7 +47,7 @@ func DefaultConfig() Config { return Config{MinSupport: 2} }
 type Result struct {
 	// Table holds relationships newly inferred from LocPrf (links the
 	// base table did not cover).
-	Table *asrel.Table
+	Table *intern.Table
 	// CalibratedVantages counts vantages with at least one usable
 	// LocPrf→relationship band.
 	CalibratedVantages int
@@ -62,7 +63,7 @@ type Result struct {
 // Infer calibrates and applies LocPrf per vantage. base is the
 // communities-derived table used both as calibration anchor and to skip
 // already-covered links.
-func Infer(paths []*dataset.PathObs, dict *community.Dictionary, base *asrel.Table, cfg Config) *Result {
+func Infer(paths []*dataset.PathObs, dict *community.Dictionary, base *intern.Table, cfg Config) *Result {
 	res := &Result{}
 	votes := infer.NewVoteTable()
 	for v, ev := range Group(paths, dict) {
@@ -163,7 +164,7 @@ type VantageStats struct {
 // which is what lets the live engine recalibrate a single vantage in
 // isolation and still match batch Infer exactly. base is read for
 // first-hop coverage only.
-func Calibrate(v asrel.ASN, ev *Evidence, base *asrel.Table, cfg Config, emit func(a, b asrel.ASN, rel asrel.Rel, n int)) VantageStats {
+func Calibrate(v asrel.ASN, ev *Evidence, base *intern.Table, cfg Config, emit func(a, b asrel.ASN, rel asrel.Rel, n int)) VantageStats {
 	if cfg.MinSupport < 1 {
 		cfg.MinSupport = 2
 	}

@@ -9,6 +9,7 @@ import (
 	"hybridrel/internal/dataset"
 	"hybridrel/internal/gen"
 	communityinfer "hybridrel/internal/infer/communities"
+	"hybridrel/internal/intern"
 	"hybridrel/internal/testutil"
 )
 
@@ -28,7 +29,7 @@ func TestCalibrateAndApply(t *testing.T) {
 		obsLP([]asrel.ASN{10, 30, 98}, 200),
 		obsLP([]asrel.ASN{10, 40, 97}, 300),
 	}
-	res := Infer(paths, community.NewDictionary(), base, Config{MinSupport: 1})
+	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
 	if res.CalibratedVantages != 1 {
 		t.Errorf("CalibratedVantages = %d", res.CalibratedVantages)
 	}
@@ -53,7 +54,7 @@ func TestTEFiltering(t *testing.T) {
 		// not be classified.
 		obsLP([]asrel.ASN{10, 40, 97}, 300, te),
 	}
-	res := Infer(paths, dict, base, Config{MinSupport: 1})
+	res := Infer(paths, dict, intern.FromTable(base), Config{MinSupport: 1})
 	if res.FilteredTE != 1 {
 		t.Errorf("FilteredTE = %d", res.FilteredTE)
 	}
@@ -73,7 +74,7 @@ func TestAmbiguousBandDropped(t *testing.T) {
 		obsLP([]asrel.ASN{10, 30, 98}, 250),
 		obsLP([]asrel.ASN{10, 40, 97}, 250),
 	}
-	res := Infer(paths, community.NewDictionary(), base, Config{MinSupport: 1})
+	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
 	if res.Conflicts != 1 {
 		t.Errorf("Conflicts = %d", res.Conflicts)
 	}
@@ -88,7 +89,7 @@ func TestNoLocPrfNoInference(t *testing.T) {
 	paths := []*dataset.PathObs{
 		{Vantage: 10, Path: []asrel.ASN{10, 20, 99}, LocPrf: 300}, // HasLocPrf false
 	}
-	res := Infer(paths, community.NewDictionary(), base, Config{MinSupport: 1})
+	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
 	if res.CalibratedVantages != 0 || res.Table.Len() != 0 {
 		t.Error("inference ran without LocPrf feeds")
 	}
@@ -106,7 +107,7 @@ func TestPerVantageIsolation(t *testing.T) {
 		obsLP([]asrel.ASN{11, 21, 99}, 300),
 		obsLP([]asrel.ASN{11, 41, 97}, 300),
 	}
-	res := Infer(paths, community.NewDictionary(), base, Config{MinSupport: 1})
+	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
 	if got := res.Table.Get(10, 40); got != asrel.P2C {
 		t.Errorf("vantage 10 band: rel(10,40) = %s", got)
 	}
@@ -142,7 +143,7 @@ func TestExtendsCoverageCorrectly(t *testing.T) {
 		t.Fatal("no vantage calibrated")
 	}
 	added, wrong := 0, 0
-	res.Table.Links(func(k asrel.LinkKey, r asrel.Rel) {
+	res.Table.Each(func(k asrel.LinkKey, r asrel.Rel) {
 		if base.Table.GetKey(k).Known() {
 			t.Errorf("locpref re-inferred covered link %s", k)
 		}
@@ -213,7 +214,7 @@ func TestTEPathsCountOnlyAsFiltered(t *testing.T) {
 		t.Fatalf("TE paths reached the buckets: %+v", ev)
 	}
 	emitted := 0
-	st := Calibrate(10, ev, base, Config{MinSupport: 1}, func(asrel.ASN, asrel.ASN, asrel.Rel, int) { emitted++ })
+	st := Calibrate(10, ev, intern.FromTable(base), Config{MinSupport: 1}, func(asrel.ASN, asrel.ASN, asrel.Rel, int) { emitted++ })
 	if st.FilteredTE != 3 || st.Calibrated || st.Applied != 0 || emitted != 0 {
 		t.Errorf("stats = %+v, %d emissions", st, emitted)
 	}
@@ -233,7 +234,7 @@ func TestBandSupportedByMultiplicity(t *testing.T) {
 	}
 	ev := Group(paths, community.NewDictionary())[10]
 	var got []int
-	st := Calibrate(10, ev, base, DefaultConfig(), func(a, b asrel.ASN, rel asrel.Rel, n int) {
+	st := Calibrate(10, ev, intern.FromTable(base), DefaultConfig(), func(a, b asrel.ASN, rel asrel.Rel, n int) {
 		if a != 10 || b != 40 || rel != asrel.P2C {
 			t.Errorf("emit(%s, %s, %s, %d)", a, b, rel, n)
 		}
@@ -242,7 +243,7 @@ func TestBandSupportedByMultiplicity(t *testing.T) {
 	if !st.Calibrated || st.Applied != 2 || len(got) != 1 || got[0] != 2 {
 		t.Errorf("stats = %+v, emissions %v; want one emission of 2", st, got)
 	}
-	res := Infer(paths, community.NewDictionary(), base, DefaultConfig())
+	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), DefaultConfig())
 	if res.CalibratedVantages != 1 || res.Applied != 2 || res.Table.Get(10, 40) != asrel.P2C {
 		t.Errorf("Infer = %+v", res)
 	}

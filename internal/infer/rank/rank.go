@@ -16,6 +16,7 @@ import (
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/dataset"
 	"hybridrel/internal/infer"
+	"hybridrel/internal/intern"
 )
 
 // Config tunes the heuristic.
@@ -37,7 +38,7 @@ func DefaultConfig() Config {
 
 // Result is the inference outcome.
 type Result struct {
-	Table *asrel.Table
+	Table *intern.Table
 	// Clique lists the inferred top clique, ascending.
 	Clique []asrel.ASN
 	// Peerings counts links classified by the peering rule (clique
@@ -83,37 +84,38 @@ func Infer(paths []*dataset.PathObs, cfg Config) *Result {
 		}
 	}
 
-	res := &Result{Table: asrel.NewTable(), Clique: clique}
-	for _, k := range votes.Keys() {
+	res := &Result{Clique: clique}
+	var b intern.TableBuilder
+	keys := votes.Keys()
+	b.Grow(len(keys))
+	for _, k := range keys {
 		v := votes.Get(k)
+		var r asrel.Rel
+		switch {
 		// Clique-internal links are peerings by construction.
-		if inClique[k.Lo] && inClique[k.Hi] {
-			res.Table.SetKey(k, asrel.P2P)
+		case inClique[k.Lo] && inClique[k.Hi]:
+			r = asrel.P2P
 			res.Peerings++
-			continue
-		}
 		// Large-large peering rule: similar transit degrees, seen at the
 		// top of paths, and no overwhelming directional evidence.
-		if topAdj[k] && similar(td[k.Lo], td[k.Hi], cfg.DegreeRatio) &&
-			td[k.Lo] > 0 && td[k.Hi] > 0 && !dominant(v, cfg.Dominance) {
-			res.Table.SetKey(k, asrel.P2P)
+		case topAdj[k] && similar(td[k.Lo], td[k.Hi], cfg.DegreeRatio) &&
+			td[k.Lo] > 0 && td[k.Hi] > 0 && !dominant(v, cfg.Dominance):
+			r = asrel.P2P
 			res.Peerings++
-			continue
-		}
-		switch {
 		case v.P2C > v.C2P:
-			res.Table.SetKey(k, asrel.P2C)
+			r = asrel.P2C
 		case v.C2P > v.P2C:
-			res.Table.SetKey(k, asrel.C2P)
+			r = asrel.C2P
+		// Balanced: the higher transit degree is the provider.
+		case td[k.Lo] >= td[k.Hi]:
+			r = asrel.P2C
 		default:
-			// Balanced: the higher transit degree is the provider.
-			if td[k.Lo] >= td[k.Hi] {
-				res.Table.SetKey(k, asrel.P2C)
-			} else {
-				res.Table.SetKey(k, asrel.C2P)
-			}
+			r = asrel.C2P
 		}
+		// votes.Keys is in canonical order, so Append cannot fail.
+		_ = b.Append(k, r)
 	}
+	res.Table = b.Table()
 	return res
 }
 

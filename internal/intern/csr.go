@@ -72,14 +72,36 @@ func (c *CSR) Neighbors(i int32) []int32 { return c.Nbr[c.Off[i]:c.Off[i+1]] }
 // EdgeRels annotates every directed CSR edge with its relationship
 // under t, aligned with Nbr: the value at position p is the
 // relationship of ASNs[i] toward ASNs[Nbr[p]] for the row containing p.
-// Computing this once per (graph, table) pair turns the per-edge map
-// probe of relationship-aware traversals into an array load.
-func (c *CSR) EdgeRels(t *asrel.Table) []asrel.Rel {
+// Computing this once per (graph, table) pair turns the per-edge
+// lookup of relationship-aware traversals into an array load.
+//
+// The annotation is one cursor sweep over t, not a search per edge:
+// taken row by row, the edges toward higher-numbered neighbours visit
+// their canonical keys in ascending order. Each such edge also fills
+// its reverse, which sits at the next unfilled lower-neighbour slot of
+// the other row — rows are sorted, and their lower neighbours are
+// reached in ascending order too.
+func (c *CSR) EdgeRels(t *Table) []asrel.Rel {
 	rels := make([]asrel.Rel, len(c.Nbr))
-	for i := range c.ASNs {
-		a := c.ASNs[i]
+	low := append([]int32(nil), c.Off[:len(c.ASNs)]...)
+	k := 0
+	for i, a := range c.ASNs {
 		for p := c.Off[i]; p < c.Off[i+1]; p++ {
-			rels[p] = t.Get(a, c.ASNs[c.Nbr[p]])
+			j := c.Nbr[p]
+			if int(j) < i {
+				continue
+			}
+			u := Pack(asrel.LinkKey{Lo: a, Hi: c.ASNs[j]})
+			for k < len(t.keys) && t.keys[k] < u {
+				k++
+			}
+			r := asrel.Unknown
+			if k < len(t.keys) && t.keys[k] == u {
+				r = t.rels[k]
+			}
+			rels[p] = r
+			rels[low[j]] = r.Invert()
+			low[j]++
 		}
 	}
 	return rels

@@ -8,10 +8,12 @@ import (
 
 // Table is a frozen, flat relationship table: packed canonical link
 // keys sorted ascending with a parallel slice of Lo→Hi relationships.
-// It answers the same queries as asrel.Table but with binary search on
-// two contiguous arrays instead of a hash map, and it iterates in
-// canonical order for free. Build one with FromTable or a TableBuilder;
-// a Table is immutable and safe for concurrent readers.
+// It is the repository's one read-side relationship table: inference
+// emits it, the analysis merges it, and the snapshot encodes it.
+// Lookups are binary searches on two contiguous arrays, and iteration
+// is in canonical order for free. Build one with a TableBuilder, or
+// freeze a mutable asrel.Table with FromTable; a Table is immutable
+// and safe for concurrent readers.
 type Table struct {
 	keys []uint64
 	rels []asrel.Rel
@@ -40,7 +42,8 @@ func FromTable(t *asrel.Table) *Table {
 // TableFromSorted wraps pre-sorted parallel key/relationship slices as
 // a Table without copying or validating them — the mmap loader's
 // constructor, where both slices alias sections of a mapped snapshot
-// and the format's structural guarantees stand in for the O(n) scan.
+// and the format's structural guarantees stand in for the O(n) scan,
+// and the live engine's, wrapping its sorted edits for Patch.
 // Callers must guarantee keys are strictly ascending and
 // len(keys) == len(rels); unsorted keys yield wrong (but memory-safe)
 // lookups, never panics.
@@ -55,15 +58,6 @@ func (t *Table) PackedKeys() []uint64 { return t.keys }
 // Rels returns the relationship array parallel to PackedKeys. The slice
 // is owned by the table and must not be modified.
 func (t *Table) Rels() []asrel.Rel { return t.rels }
-
-// ToTable thaws the flat table back into a mutable asrel.Table.
-func (t *Table) ToTable() *asrel.Table {
-	out := asrel.NewTable()
-	for i, u := range t.keys {
-		out.SetKey(Unpack(u), t.rels[i])
-	}
-	return out
-}
 
 // Len returns the number of recorded links.
 func (t *Table) Len() int { return len(t.keys) }
@@ -140,6 +134,37 @@ func Merge(base, additions *Table) *Table {
 	out.rels = append(out.rels, base.rels[i:]...)
 	out.keys = append(out.keys, additions.keys[j:]...)
 	out.rels = append(out.rels, additions.rels[j:]...)
+	return out
+}
+
+// Patch applies edits to base with one two-pointer sweep and returns
+// the patched table; base is not modified. Every entry of edits
+// replaces base's entry for its link, and an edit recording Unknown
+// removes the link (or is dropped, when base lacks it) — the flat form
+// of SetKey and Delete on a mutable table. The untouched runs between
+// edits are copied whole, so patching a few links of a large table
+// costs one copy of it.
+func Patch(base, edits *Table) *Table {
+	n := base.Len() + edits.Len()
+	out := &Table{keys: make([]uint64, 0, n), rels: make([]asrel.Rel, 0, n)}
+	i := 0
+	for j, u := range edits.keys {
+		start := i
+		for i < len(base.keys) && base.keys[i] < u {
+			i++
+		}
+		out.keys = append(out.keys, base.keys[start:i]...)
+		out.rels = append(out.rels, base.rels[start:i]...)
+		if i < len(base.keys) && base.keys[i] == u {
+			i++ // superseded by the edit
+		}
+		if r := edits.rels[j]; r.Known() {
+			out.keys = append(out.keys, u)
+			out.rels = append(out.rels, r)
+		}
+	}
+	out.keys = append(out.keys, base.keys[i:]...)
+	out.rels = append(out.rels, base.rels[i:]...)
 	return out
 }
 

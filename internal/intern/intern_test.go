@@ -64,7 +64,9 @@ func TestPackRoundTrip(t *testing.T) {
 }
 
 // TestFlatTableMatchesMap is the core differential: every query the
-// flat table answers must agree with the map table it froze.
+// flat table answers must agree with the map table it froze — Get,
+// GetKey and Has, in both orientations, for every stored link and for
+// absent ones.
 func TestFlatTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
@@ -73,27 +75,39 @@ func TestFlatTableMatchesMap(t *testing.T) {
 		if f.Len() != m.Len() {
 			t.Fatalf("Len %d vs %d", f.Len(), m.Len())
 		}
-		for _, k := range m.Keys() {
+		agree := func(a, b asrel.ASN) {
+			t.Helper()
+			k := asrel.Key(a, b)
 			if f.GetKey(k) != m.GetKey(k) {
 				t.Fatalf("GetKey(%s): flat %s, map %s", k, f.GetKey(k), m.GetKey(k))
 			}
-			if f.Get(k.Lo, k.Hi) != m.Get(k.Lo, k.Hi) || f.Get(k.Hi, k.Lo) != m.Get(k.Hi, k.Lo) {
-				t.Fatalf("Get orientation mismatch on %s", k)
+			if f.Get(a, b) != m.Get(a, b) || f.Get(b, a) != m.Get(b, a) {
+				t.Fatalf("Get orientation mismatch on %s: flat %s/%s, map %s/%s",
+					k, f.Get(a, b), f.Get(b, a), m.Get(a, b), m.Get(b, a))
 			}
-			if !f.Has(k.Lo, k.Hi) {
-				t.Fatalf("Has(%s) = false", k)
+			if f.Has(a, b) != m.Has(a, b) || f.Has(b, a) != m.Has(b, a) {
+				t.Fatalf("Has mismatch on %s: flat %v/%v, map %v/%v",
+					k, f.Has(a, b), f.Has(b, a), m.Has(a, b), m.Has(b, a))
 			}
 		}
-		// Probe absent links.
-		for i := 0; i < 100; i++ {
+		for _, k := range m.Keys() {
+			agree(k.Lo, k.Hi)
+		}
+		// Probe links over a wider AS space, most of them absent.
+		absent := 0
+		for i := 0; i < 200; i++ {
 			a := asrel.ASN(rng.Intn(400) + 1)
 			b := asrel.ASN(rng.Intn(400) + 1)
 			if a == b {
 				continue
 			}
-			if f.Get(a, b) != m.Get(a, b) {
-				t.Fatalf("absent probe (%s,%s): flat %s, map %s", a, b, f.Get(a, b), m.Get(a, b))
+			if !m.Has(a, b) {
+				absent++
 			}
+			agree(a, b)
+		}
+		if absent == 0 {
+			t.Fatal("no absent link was probed")
 		}
 		// Each iterates ascending and covers everything.
 		var prev uint64
@@ -111,11 +125,6 @@ func TestFlatTableMatchesMap(t *testing.T) {
 		})
 		if n != m.Len() {
 			t.Fatalf("Each visited %d of %d", n, m.Len())
-		}
-		// Thawing reproduces the map exactly.
-		back := f.ToTable()
-		if back.Len() != m.Len() {
-			t.Fatalf("ToTable len %d vs %d", back.Len(), m.Len())
 		}
 	}
 }
@@ -148,6 +157,51 @@ func TestMergeMatchesMapMerge(t *testing.T) {
 				t.Fatalf("merge(%s) = %s, reference %s", k, r, want.GetKey(k))
 			}
 		})
+	}
+}
+
+// TestPatchMatchesMapEdits pins Patch against the same edits applied
+// to a mutable table and then frozen: SetKey for a known relationship,
+// Delete for Unknown.
+func TestPatchMatchesMapEdits(t *testing.T) {
+	rel := func(pairs ...any) *asrel.Table {
+		out := asrel.NewTable()
+		for i := 0; i < len(pairs); i += 2 {
+			out.SetKey(pairs[i].(asrel.LinkKey), pairs[i+1].(asrel.Rel))
+		}
+		return out
+	}
+	k12, k13, k24, k35 := asrel.Key(1, 2), asrel.Key(1, 3), asrel.Key(2, 4), asrel.Key(3, 5)
+	base := rel(k12, asrel.P2C, k13, asrel.P2P, k35, asrel.C2P)
+	for _, tc := range []struct {
+		name        string
+		base, edits *asrel.Table
+	}{
+		{"insert", base, rel(k24, asrel.S2S)},
+		{"overwrite", base, rel(k13, asrel.C2P)},
+		{"delete by Unknown", base, rel(k12, asrel.Unknown)},
+		{"delete absent link", base, rel(k24, asrel.Unknown)},
+		{"mixed", base, rel(k12, asrel.Unknown, k13, asrel.P2C, k24, asrel.P2P, k35, asrel.Unknown)},
+		{"onto empty table", asrel.NewTable(), rel(k12, asrel.P2C, k24, asrel.Unknown, k35, asrel.P2P)},
+		{"empty patch", base, asrel.NewTable()},
+		{"random", randTable(rand.New(rand.NewSource(4)), 300), randTable(rand.New(rand.NewSource(5)), 100)},
+	} {
+		want := tc.base.Clone()
+		tc.edits.Links(func(k asrel.LinkKey, r asrel.Rel) {
+			if r.Known() {
+				want.SetKey(k, r)
+			} else {
+				want.Delete(k.Lo, k.Hi)
+			}
+		})
+		before := FromTable(tc.base)
+		got := Patch(before, FromTable(tc.edits))
+		if !reflect.DeepEqual(got, FromTable(want)) {
+			t.Errorf("%s: Patch gives %d links, map edits %d", tc.name, got.Len(), want.Len())
+		}
+		if !reflect.DeepEqual(before, FromTable(tc.base)) {
+			t.Errorf("%s: Patch modified its base", tc.name)
+		}
 	}
 }
 
@@ -334,6 +388,48 @@ func csrFromLinks(links []asrel.LinkKey) *CSR {
 	return CSRFromAdj(nodes, func(a asrel.ASN) []asrel.ASN { return adj[a] })
 }
 
+// assertEdgeRels checks EdgeRels against a per-edge Get on every
+// directed edge of c.
+func assertEdgeRels(t *testing.T, c *CSR, tbl *asrel.Table) {
+	t.Helper()
+	rels := c.EdgeRels(FromTable(tbl))
+	for i, a := range c.ASNs {
+		for p := c.Off[i]; p < c.Off[i+1]; p++ {
+			b := c.ASNs[c.Nbr[p]]
+			if want := tbl.Get(a, b); rels[p] != want {
+				t.Fatalf("EdgeRels(%s→%s) = %s, want %s", a, b, rels[p], want)
+			}
+		}
+	}
+}
+
+// TestEdgeRelsMatchesGet holds the cursor-sweep annotation to a lookup
+// per edge on random graphs whose links the table covers only in part
+// (and whose table holds links the graph lacks).
+func TestEdgeRelsMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 20; trial++ {
+		tbl := randTable(rng, 300)
+		set := make(map[asrel.LinkKey]bool)
+		for _, k := range tbl.Keys() {
+			if rng.Intn(3) > 0 {
+				set[k] = true
+			}
+		}
+		for i := 0; i < 100; i++ {
+			a, b := asrel.ASN(rng.Intn(250)+1), asrel.ASN(rng.Intn(250)+1)
+			if a != b {
+				set[asrel.Key(a, b)] = true
+			}
+		}
+		links := make([]asrel.LinkKey, 0, len(set))
+		for k := range set {
+			links = append(links, k)
+		}
+		assertEdgeRels(t, csrFromLinks(links), tbl)
+	}
+}
+
 func TestCSR(t *testing.T) {
 	links := []asrel.LinkKey{
 		asrel.Key(10, 20), asrel.Key(10, 30), asrel.Key(20, 30), asrel.Key(40, 10),
@@ -364,17 +460,12 @@ func TestCSR(t *testing.T) {
 		t.Fatal("Index invented a node")
 	}
 
-	// EdgeRels aligns with Nbr.
+	// EdgeRels aligns with Nbr, in both directions of every edge.
 	tbl := asrel.NewTable()
 	tbl.Set(10, 20, asrel.P2C)
 	tbl.Set(10, 30, asrel.P2P)
-	rels := c.EdgeRels(tbl)
-	for p := c.Off[i10]; p < c.Off[i10+1]; p++ {
-		want := tbl.Get(10, c.ASNs[c.Nbr[p]])
-		if rels[p] != want {
-			t.Fatalf("EdgeRels misaligned at %d: %s want %s", p, rels[p], want)
-		}
-	}
+	tbl.Set(30, 20, asrel.P2C)
+	assertEdgeRels(t, c, tbl)
 
 	// Isolated nodes survive CSRFromAdj.
 	adj := map[asrel.ASN][]asrel.ASN{5: nil, 6: {7}, 7: {6}}

@@ -1,12 +1,15 @@
 package live
 
 import (
+	"slices"
+
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/community"
 	"hybridrel/internal/dataset"
 	"hybridrel/internal/infer"
 	communityinfer "hybridrel/internal/infer/communities"
 	"hybridrel/internal/infer/locpref"
+	"hybridrel/internal/intern"
 )
 
 // planeEngine maintains one plane's inference state incrementally.
@@ -35,17 +38,20 @@ type planeEngine struct {
 	dict *community.Dictionary
 	cfg  locpref.Config
 
+	// commTable and lpTable are frozen: resolve replaces them with
+	// patched copies, so snapshots can share them without copying.
 	comm      *infer.VoteTable
-	commTable *asrel.Table
+	commTable *intern.Table
 
 	lp       *infer.VoteTable
-	lpTable  *asrel.Table
+	lpTable  *intern.Table
 	lpVotes  map[asrel.ASN][]lpVote          // last emitted votes per vantage
 	evidence map[asrel.ASN]*locpref.Evidence // eligible active paths per vantage, counted
 
 	dirtyComm map[asrel.LinkKey]struct{}
 	dirtyVant map[asrel.ASN]struct{}
 	lpDirty   map[asrel.LinkKey]struct{} // resolve scratch: links whose LocPrf votes moved
+	changed   []uint64                   // resolve scratch: packed links whose relationship moved
 
 	// fullRecomputes / incrementalResolves count resolve() strategies
 	// taken, for observability and tests.
@@ -65,9 +71,9 @@ func newPlaneEngine(d *dataset.Dataset, dict *community.Dictionary, cfg locpref.
 	return &planeEngine{
 		d: d, dict: dict, cfg: cfg,
 		comm:      infer.NewVoteTable(),
-		commTable: asrel.NewTable(),
+		commTable: new(intern.Table),
 		lp:        infer.NewVoteTable(),
-		lpTable:   asrel.NewTable(),
+		lpTable:   new(intern.Table),
 		lpVotes:   make(map[asrel.ASN][]lpVote),
 		evidence:  make(map[asrel.ASN]*locpref.Evidence),
 		dirtyComm: make(map[asrel.LinkKey]struct{}),
@@ -130,25 +136,19 @@ func (e *planeEngine) resolve(threshold float64) {
 	e.incrementalResolves++
 
 	// Communities first: LocPrf calibration reads the updated table.
+	changed := e.changed[:0]
 	for k := range e.dirtyComm {
-		now := asrel.Unknown
-		if v := e.comm.Get(k); v != nil {
-			now = v.Resolve()
-		}
-		if old := e.commTable.GetKey(k); now == old {
+		if resolved(e.comm, k) == e.commTable.GetKey(k) {
 			continue
 		}
-		if now.Known() {
-			e.commTable.SetKey(k, now)
-		} else {
-			e.commTable.Delete(k.Lo, k.Hi)
-		}
+		changed = append(changed, intern.Pack(k))
 		// A base change on this link can shift the calibration of a
 		// vantage sitting on either end.
 		e.touchVantage(k.Lo)
 		e.touchVantage(k.Hi)
 	}
 	clear(e.dirtyComm)
+	e.commTable = patch(e.commTable, e.comm, changed)
 
 	for v := range e.dirtyVant {
 		contrib := e.lpVotes[v]
@@ -160,18 +160,40 @@ func (e *planeEngine) resolve(threshold float64) {
 	}
 	clear(e.dirtyVant)
 
+	changed = changed[:0]
 	for k := range e.lpDirty {
-		now := asrel.Unknown
-		if v := e.lp.Get(k); v != nil {
-			now = v.Resolve()
-		}
-		if now.Known() {
-			e.lpTable.SetKey(k, now)
-		} else {
-			e.lpTable.Delete(k.Lo, k.Hi)
+		if resolved(e.lp, k) != e.lpTable.GetKey(k) {
+			changed = append(changed, intern.Pack(k))
 		}
 	}
 	clear(e.lpDirty)
+	e.lpTable = patch(e.lpTable, e.lp, changed)
+	e.changed = changed
+}
+
+// resolved returns the relationship votes currently resolve k to,
+// Unknown when the link has no votes left.
+func resolved(votes *infer.VoteTable, k asrel.LinkKey) asrel.Rel {
+	if v := votes.Get(k); v != nil {
+		return v.Resolve()
+	}
+	return asrel.Unknown
+}
+
+// patch returns t with the changed links (packed, any order; sorted in
+// place) set to what votes now resolve them to, in one intern.Patch
+// sweep — a link resolving to Unknown is removed. t itself is never
+// modified: snapshots taken earlier may share it.
+func patch(t *intern.Table, votes *infer.VoteTable, changed []uint64) *intern.Table {
+	if len(changed) == 0 {
+		return t
+	}
+	slices.Sort(changed)
+	rels := make([]asrel.Rel, len(changed))
+	for i, u := range changed {
+		rels[i] = resolved(votes, intern.Unpack(u))
+	}
+	return intern.Patch(t, intern.TableFromSorted(changed, rels))
 }
 
 // calibrate reruns vantage v's LocPrf calibration from its evidence,
@@ -225,9 +247,8 @@ func (e *planeEngine) recompute() {
 }
 
 // results packages the current tables as inference results for
-// core.Assemble. Tables are cloned: the snapshot must not alias state
-// the engine keeps mutating.
+// core.Assemble. The tables are immutable — resolve swaps in patched
+// copies — so the snapshot and the history ring share them as is.
 func (e *planeEngine) results() (*communityinfer.Result, *locpref.Result) {
-	return &communityinfer.Result{Table: e.commTable.Clone()},
-		&locpref.Result{Table: e.lpTable.Clone()}
+	return &communityinfer.Result{Table: e.commTable}, &locpref.Result{Table: e.lpTable}
 }

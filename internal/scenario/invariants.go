@@ -14,7 +14,6 @@ import (
 	"hybridrel/internal/bgpsim"
 	"hybridrel/internal/core"
 	"hybridrel/internal/gen"
-	"hybridrel/internal/intern"
 	"hybridrel/internal/live"
 	"hybridrel/internal/obs"
 	"hybridrel/internal/pipeline"
@@ -27,7 +26,6 @@ const (
 	InvParallelism  = "parallelism-identity"
 	InvRoundTrip    = "snapshot-roundtrip"
 	InvServe        = "serve-accessor-agreement"
-	InvInterned     = "interned-legacy-equivalence"
 	InvLive         = "live-batch-equivalence"
 	InvChangeStream = "change-stream-determinism"
 )
@@ -54,7 +52,7 @@ func checkInvariants(ctx context.Context, src pipeline.Sources, in *gen.Internet
 		e := fmt.Errorf("encoding the reference snapshot: %w", err)
 		return []InvariantResult{
 			verdict(InvParallelism, e), verdict(InvRoundTrip, e),
-			verdict(InvServe, e), verdict(InvInterned, e), verdict(InvLive, e),
+			verdict(InvServe, e), verdict(InvLive, e),
 			verdict(InvChangeStream, e),
 		}
 	}
@@ -62,7 +60,6 @@ func checkInvariants(ctx context.Context, src pipeline.Sources, in *gen.Internet
 		verdict(InvParallelism, checkParallelism(ctx, src, snapBytes, parallelism)),
 		verdict(InvRoundTrip, checkRoundTrip(snapBytes)),
 		verdict(InvServe, checkServe(a)),
-		verdict(InvInterned, checkInterned(a)),
 		verdict(InvLive, checkLive(in, feedCfg, a, snapBytes)),
 		verdict(InvChangeStream, checkChangeStream(in, feedCfg, a)),
 	}
@@ -184,63 +181,6 @@ func checkChangeStream(in *gen.Internet, feedCfg bgpsim.FeedConfig, a *core.Anal
 	if !bytes.Equal(first, second) {
 		return fmt.Errorf("change streams differ between identical replays (%d vs %d bytes)",
 			len(first), len(second))
-	}
-	return nil
-}
-
-// checkInterned requires the interned flat-table/CSR hot path and the
-// legacy map-based algorithms it replaced to produce identical derived
-// products: the dual-stack join, the hybrid list, the coverage summary,
-// and every relationship lookup over both planes' observed links. The
-// legacy implementations live in core's legacy reference file precisely
-// so this differential can keep running on every scenario family.
-func checkInterned(a *core.Analysis) error {
-	dualFlat, hybFlat, covFlat := a.ComputeProducts()
-	dualMap, hybMap, covMap := a.LegacyProducts(a.D4.LinkMap(), a.D6.LinkMap())
-
-	if !reflect.DeepEqual(dualFlat, dualMap) {
-		return fmt.Errorf("dual-stack join differs: interned %d links, legacy %d", len(dualFlat), len(dualMap))
-	}
-	if !reflect.DeepEqual(hybFlat, hybMap) {
-		return fmt.Errorf("hybrid lists differ: interned %d, legacy %d", len(hybFlat), len(hybMap))
-	}
-	if covFlat != covMap {
-		return fmt.Errorf("coverage differs:\ninterned %+v\nlegacy   %+v", covFlat, covMap)
-	}
-	// The memoized accessors must agree with both recomputations.
-	if !reflect.DeepEqual(a.Hybrids(), hybFlat) {
-		return fmt.Errorf("memoized hybrid list differs from recomputation")
-	}
-	if a.Coverage() != covFlat {
-		return fmt.Errorf("memoized coverage differs from recomputation")
-	}
-	// Flat relationship lookups must agree with the map tables on every
-	// observed link of each plane, in both orientations.
-	for _, plane := range []struct {
-		d interface {
-			EachLink(func(asrel.LinkKey, int))
-		}
-		flat *intern.Table
-		m    *asrel.Table
-		name string
-	}{
-		{a.D4, a.Flat4(), a.Rel4, "ipv4"},
-		{a.D6, a.Flat6(), a.Rel6, "ipv6"},
-	} {
-		var mismatch error
-		plane.d.EachLink(func(k asrel.LinkKey, _ int) {
-			if mismatch != nil {
-				return
-			}
-			if plane.flat.GetKey(k) != plane.m.GetKey(k) ||
-				plane.flat.Get(k.Hi, k.Lo) != plane.m.Get(k.Hi, k.Lo) {
-				mismatch = fmt.Errorf("%s relationship lookup differs on %s: flat %s, map %s",
-					plane.name, k, plane.flat.GetKey(k), plane.m.GetKey(k))
-			}
-		})
-		if mismatch != nil {
-			return mismatch
-		}
 	}
 	return nil
 }

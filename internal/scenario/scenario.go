@@ -10,8 +10,8 @@
 // the pipeline at parallelism 1 and N must produce byte-identical
 // snapshots, the snapshot codec must round-trip to identical bytes,
 // the HTTP serving layer must agree with the Analysis accessors, and
-// the interned flat-table/CSR hot path must produce products identical
-// to the legacy map-based algorithms it replaced.
+// the live streaming ingester must converge to the batch snapshot and
+// replay its change stream deterministically.
 // One matrix run therefore exercises the generator, collector,
 // pipeline, inference, snapshot, and serve layers at once; it is the
 // regression safety-net scale and performance work runs against.
@@ -34,6 +34,7 @@ import (
 	"hybridrel/internal/core"
 	"hybridrel/internal/gen"
 	"hybridrel/internal/infer"
+	"hybridrel/internal/intern"
 	"hybridrel/internal/pipeline"
 	"hybridrel/internal/report"
 	"hybridrel/internal/testutil"
@@ -433,7 +434,7 @@ func sources(arch *testutil.Archives) pipeline.Sources {
 // gradeClasses is the fixed reporting order of relationship classes.
 var gradeClasses = []asrel.Rel{asrel.P2C, asrel.C2P, asrel.P2P, asrel.S2S}
 
-func gradePlane(plane string, inferred, truth *asrel.Table, links []asrel.LinkKey) PlaneReport {
+func gradePlane(plane string, inferred *intern.Table, truth *asrel.Table, links []asrel.LinkKey) PlaneReport {
 	s := infer.ScoreTable(inferred, truth, links)
 	pr := PlaneReport{
 		Plane:      plane,

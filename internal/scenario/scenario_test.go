@@ -67,14 +67,14 @@ func TestScenarioMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.Invariants) != 6 {
-				t.Fatalf("invariant suite ran %d checks, want 6", len(r.Invariants))
+			if len(r.Invariants) != 5 {
+				t.Fatalf("invariant suite ran %d checks, want 5", len(r.Invariants))
 			}
 			names := make(map[string]bool, len(r.Invariants))
 			for _, inv := range r.Invariants {
 				names[inv.Name] = true
 			}
-			for _, want := range []string{InvParallelism, InvRoundTrip, InvServe, InvInterned, InvLive, InvChangeStream} {
+			for _, want := range []string{InvParallelism, InvRoundTrip, InvServe, InvLive, InvChangeStream} {
 				if !names[want] {
 					t.Errorf("invariant %s missing from the suite", want)
 				}
@@ -159,8 +159,8 @@ func TestScenarioMatrix10k(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.Invariants) != 6 {
-				t.Fatalf("invariant suite ran %d checks, want 6", len(r.Invariants))
+			if len(r.Invariants) != 5 {
+				t.Fatalf("invariant suite ran %d checks, want 5", len(r.Invariants))
 			}
 			for _, inv := range r.Invariants {
 				if !inv.OK {

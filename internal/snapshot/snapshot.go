@@ -132,8 +132,8 @@ func AttachCloser(s *Snapshot, fn func() error) { s.closer = fn }
 // tables; treat both as read-only afterwards.
 func Capture(a *core.Analysis) *Snapshot {
 	s := &Snapshot{
-		Rel4:       a.Flat4(),
-		Rel6:       a.Flat6(),
+		Rel4:       a.Rel4,
+		Rel6:       a.Rel6,
 		Hybrids:    a.Hybrids(),
 		Coverage:   a.Coverage(),
 		Census:     a.HybridCensus(),

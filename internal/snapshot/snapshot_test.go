@@ -10,6 +10,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"sync"
@@ -116,11 +117,19 @@ func TestCompressionActuallyShrinks(t *testing.T) {
 }
 
 // TestGoldenDecodedHeadlines pins the shared golden headline numbers
-// (internal/golden) and that a decoded snapshot reports the
-// same numbers as the live pipeline's accessors.
+// and the small world's v2 snapshot bytes (internal/golden), and that
+// a decoded snapshot reports the same numbers as the live pipeline's
+// accessors.
 func TestGoldenDecodedHeadlines(t *testing.T) {
 	a := analysis(t)
 	golden.AssertSmall(t, a)
+	h := fnv.New64a()
+	if err := EncodeV2(h, Capture(a)); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Sum64(); got != golden.SmallSnapshotV2FNV {
+		t.Errorf("small-world v2 snapshot FNV-64a = %#016x, want golden %#016x", got, golden.SmallSnapshotV2FNV)
+	}
 	var buf bytes.Buffer
 	if err := Write(&buf, a); err != nil {
 		t.Fatal(err)

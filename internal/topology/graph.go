@@ -3,7 +3,7 @@
 // degrees per role, customer cones, plain BFS, connected components, and
 // shortest *valley-free* path computations on a two-state product graph.
 //
-// A Graph holds only adjacency; relationships live in an asrel.Table so
+// A Graph holds only adjacency; relationships live in an intern.Table so
 // the same physical topology can be annotated differently per address
 // family or per inference algorithm, which is exactly what the hybrid
 // relationship analysis needs.
@@ -110,21 +110,21 @@ func (g *Graph) Neighbors(a asrel.ASN) []asrel.ASN { return g.adj[a] }
 func (g *Graph) Degree(a asrel.ASN) int { return len(g.adj[a]) }
 
 // Customers returns the neighbors of a annotated as customers of a in t.
-func (g *Graph) Customers(t *asrel.Table, a asrel.ASN) []asrel.ASN {
+func (g *Graph) Customers(t *intern.Table, a asrel.ASN) []asrel.ASN {
 	return g.withRel(t, a, asrel.P2C)
 }
 
 // Providers returns the neighbors of a annotated as providers of a in t.
-func (g *Graph) Providers(t *asrel.Table, a asrel.ASN) []asrel.ASN {
+func (g *Graph) Providers(t *intern.Table, a asrel.ASN) []asrel.ASN {
 	return g.withRel(t, a, asrel.C2P)
 }
 
 // Peers returns the neighbors of a annotated as peers of a in t.
-func (g *Graph) Peers(t *asrel.Table, a asrel.ASN) []asrel.ASN {
+func (g *Graph) Peers(t *intern.Table, a asrel.ASN) []asrel.ASN {
 	return g.withRel(t, a, asrel.P2P)
 }
 
-func (g *Graph) withRel(t *asrel.Table, a asrel.ASN, want asrel.Rel) []asrel.ASN {
+func (g *Graph) withRel(t *intern.Table, a asrel.ASN, want asrel.Rel) []asrel.ASN {
 	var out []asrel.ASN
 	for _, n := range g.adj[a] {
 		if t.Get(a, n) == want {
@@ -135,21 +135,21 @@ func (g *Graph) withRel(t *asrel.Table, a asrel.ASN, want asrel.Rel) []asrel.ASN
 }
 
 // CustomerDegree returns the number of customer links of a under t.
-func (g *Graph) CustomerDegree(t *asrel.Table, a asrel.ASN) int {
+func (g *Graph) CustomerDegree(t *intern.Table, a asrel.ASN) int {
 	return g.countRel(t, a, asrel.P2C)
 }
 
 // ProviderDegree returns the number of provider links of a under t.
-func (g *Graph) ProviderDegree(t *asrel.Table, a asrel.ASN) int {
+func (g *Graph) ProviderDegree(t *intern.Table, a asrel.ASN) int {
 	return g.countRel(t, a, asrel.C2P)
 }
 
 // PeerDegree returns the number of peering links of a under t.
-func (g *Graph) PeerDegree(t *asrel.Table, a asrel.ASN) int {
+func (g *Graph) PeerDegree(t *intern.Table, a asrel.ASN) int {
 	return g.countRel(t, a, asrel.P2P)
 }
 
-func (g *Graph) countRel(t *asrel.Table, a asrel.ASN, want asrel.Rel) int {
+func (g *Graph) countRel(t *intern.Table, a asrel.ASN, want asrel.Rel) int {
 	n := 0
 	for _, nb := range g.adj[a] {
 		if t.Get(a, nb) == want {
@@ -163,7 +163,7 @@ func (g *Graph) countRel(t *asrel.Table, a asrel.ASN, want asrel.Rel) int {
 // descending p2c links (the "customer tree" of the paper's Figure 1),
 // excluding the root itself. The walk runs on the frozen CSR index with
 // an int32 stack and a visited bitmap instead of map probes.
-func (g *Graph) CustomerCone(t *asrel.Table, root asrel.ASN) map[asrel.ASN]bool {
+func (g *Graph) CustomerCone(t *intern.Table, root asrel.ASN) map[asrel.ASN]bool {
 	cone := make(map[asrel.ASN]bool)
 	c := g.freeze()
 	r, ok := c.Index(root)
@@ -218,7 +218,7 @@ func (t Tier) String() string {
 }
 
 // TierOf classifies a single AS under the relationship table t.
-func (g *Graph) TierOf(t *asrel.Table, a asrel.ASN) Tier {
+func (g *Graph) TierOf(t *intern.Table, a asrel.ASN) Tier {
 	cust := g.CustomerDegree(t, a)
 	prov := g.ProviderDegree(t, a)
 	peer := g.PeerDegree(t, a)

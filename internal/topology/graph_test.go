@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"hybridrel/internal/asrel"
+	"hybridrel/internal/intern"
 )
 
 // chainGraph builds 1 --p2c--> 2 --p2c--> 3 with 1 --p2p-- 4 --p2c--> 5.
@@ -18,7 +19,7 @@ import (
 //	p2c
 //	v
 //	3
-func chainGraph() (*Graph, *asrel.Table) {
+func chainGraph() (*Graph, *intern.Table) {
 	g := New()
 	t := asrel.NewTable()
 	add := func(a, b asrel.ASN, r asrel.Rel) {
@@ -29,7 +30,7 @@ func chainGraph() (*Graph, *asrel.Table) {
 	add(2, 3, asrel.P2C)
 	add(1, 4, asrel.P2P)
 	add(4, 5, asrel.P2C)
-	return g, t
+	return g, intern.FromTable(t)
 }
 
 func TestAddLinkBasics(t *testing.T) {
@@ -111,7 +112,7 @@ func TestTierOf(t *testing.T) {
 	// An AS with only unknown links is unclassified.
 	g2 := New()
 	g2.AddLink(7, 8)
-	if g2.TierOf(asrel.NewTable(), 7) != TierUnknown {
+	if g2.TierOf(new(intern.Table), 7) != TierUnknown {
 		t.Error("unannotated AS not TierUnknown")
 	}
 	for _, tier := range []Tier{Tier1, Tier2, TierStub, TierUnknown} {
@@ -139,7 +140,7 @@ func TestCustomerCone(t *testing.T) {
 	t2.Set(1, 2, asrel.P2C)
 	t2.Set(2, 3, asrel.P2C)
 	t2.Set(3, 1, asrel.P2C)
-	cone2 := g2.CustomerCone(t2, 1)
+	cone2 := g2.CustomerCone(intern.FromTable(t2), 1)
 	if cone2[1] {
 		t.Error("cone contains its root")
 	}
@@ -218,20 +219,21 @@ func TestValleyFreeBlocksValleys(t *testing.T) {
 	tb.Set(2, 3, asrel.P2P)
 	g.AddLink(3, 30)
 	tb.Set(3, 30, asrel.P2C)
-	if g.ValleyFreeReachable(tb, 10, 30) {
+	rels := intern.FromTable(tb)
+	if g.ValleyFreeReachable(rels, 10, 30) {
 		t.Error("valley path (p2p,p2p) reported valley-free reachable")
 	}
-	if !g.ValleyFreeReachable(tb, 10, 2) {
+	if !g.ValleyFreeReachable(rels, 10, 2) {
 		t.Error("10 should reach 2 via up + one peering step")
 	}
-	if got := g.ValleyFreeDist(tb, 10); got[30] != 0 && len(got) != 3 {
+	if got := g.ValleyFreeDist(rels, 10); got[30] != 0 && len(got) != 3 {
 		// 10 reaches {10:0, 1:1, 2:2}; 3 and 30 are unreachable.
 		t.Errorf("vfdist(10) = %v", got)
 	}
 	// A provider route may not be re-exported to a peer: 2 must not
 	// reach 30 through 3's peering after descending... 2 is a peer of 3,
 	// so 2→3 (p2p) then 3→30 (p2c) IS valley-free.
-	if !g.ValleyFreeReachable(tb, 2, 30) {
+	if !g.ValleyFreeReachable(rels, 2, 30) {
 		t.Error("peer then customer descent must be valley-free")
 	}
 }
@@ -246,10 +248,11 @@ func TestValleyFreeSiblingTransparent(t *testing.T) {
 	tb.Set(1, 2, asrel.S2S)
 	g.AddLink(1, 9)
 	tb.Set(1, 9, asrel.P2C)
-	if !g.ValleyFreeReachable(tb, 3, 9) {
+	rels := intern.FromTable(tb)
+	if !g.ValleyFreeReachable(rels, 3, 9) {
 		t.Error("uphill through sibling then downhill must be reachable")
 	}
-	d := g.ValleyFreeDist(tb, 3)
+	d := g.ValleyFreeDist(rels, 3)
 	if d[9] != 3 {
 		t.Errorf("vfdist(3,9) = %d, want 3", d[9])
 	}
@@ -257,7 +260,7 @@ func TestValleyFreeSiblingTransparent(t *testing.T) {
 
 func TestValleyFreeUnknownEdgesBlocked(t *testing.T) {
 	g := New()
-	tb := asrel.NewTable()
+	tb := new(intern.Table)
 	g.AddLink(1, 2) // relationship never set
 	if g.ValleyFreeReachable(tb, 1, 2) {
 		t.Error("unknown-relationship link must not be traversable")
@@ -311,8 +314,9 @@ func TestMutationInvalidatesIndex(t *testing.T) {
 	g, tb := chainGraph()
 	_ = g.ValleyFreeDist(tb, 3) // freeze
 	g.AddLink(3, 6)
-	tb.Set(3, 6, asrel.P2C)
-	d := g.ValleyFreeDist(tb, 3)
+	var edit intern.TableBuilder
+	_ = edit.Append(asrel.Key(3, 6), asrel.P2C)
+	d := g.ValleyFreeDist(intern.Patch(tb, edit.Table()), 3)
 	if d[6] != 1 {
 		t.Errorf("new link not visible after freeze: %v", d)
 	}
@@ -339,7 +343,7 @@ func TestValleyFreeDominatedByBFS(t *testing.T) {
 		}
 		src := g.Nodes()[0]
 		bfs := g.BFSDist(src)
-		for dst, vd := range g.ValleyFreeDist(tb, src) {
+		for dst, vd := range g.ValleyFreeDist(intern.FromTable(tb), src) {
 			bd, ok := bfs[dst]
 			if !ok || vd < bd {
 				return false

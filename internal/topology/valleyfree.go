@@ -66,7 +66,7 @@ func vfNext(s int, rel asrel.Rel, lenient bool) int {
 // ValleyFreeDist returns, for every AS reachable from src over
 // valley-free paths under t, the minimum valley-free hop distance.
 // Links with an Unknown relationship are not traversable.
-func (g *Graph) ValleyFreeDist(t *asrel.Table, src asrel.ASN) map[asrel.ASN]int {
+func (g *Graph) ValleyFreeDist(t *intern.Table, src asrel.ASN) map[asrel.ASN]int {
 	return g.vfDist(t, src, false)
 }
 
@@ -76,11 +76,11 @@ func (g *Graph) ValleyFreeDist(t *asrel.Table, src asrel.ASN) map[asrel.ASN]int 
 // valley-free path from src even granting the unclassified links their
 // benign interpretation — the necessity criterion of the valley-path
 // taxonomy.
-func (g *Graph) ValleyFreeDistLenient(t *asrel.Table, src asrel.ASN) map[asrel.ASN]int {
+func (g *Graph) ValleyFreeDistLenient(t *intern.Table, src asrel.ASN) map[asrel.ASN]int {
 	return g.vfDist(t, src, true)
 }
 
-func (g *Graph) vfDist(t *asrel.Table, src asrel.ASN, lenient bool) map[asrel.ASN]int {
+func (g *Graph) vfDist(t *intern.Table, src asrel.ASN, lenient bool) map[asrel.ASN]int {
 	c := g.freeze()
 	s, ok := c.Index(src)
 	if !ok {
@@ -100,7 +100,7 @@ func (g *Graph) vfDist(t *asrel.Table, src asrel.ASN, lenient bool) map[asrel.AS
 
 // ValleyFreeReachable reports whether dst is reachable from src over a
 // valley-free path under t.
-func (g *Graph) ValleyFreeReachable(t *asrel.Table, src, dst asrel.ASN) bool {
+func (g *Graph) ValleyFreeReachable(t *intern.Table, src, dst asrel.ASN) bool {
 	if src == dst {
 		return g.HasNode(src)
 	}
@@ -190,7 +190,7 @@ type VFStats struct {
 // subgraph. The edge relationships are resolved once and shared by
 // every per-source BFS, so the table lookup cost amortizes across the
 // whole sweep.
-func (g *Graph) ValleyFreeStats(t *asrel.Table, sources []asrel.ASN) VFStats {
+func (g *Graph) ValleyFreeStats(t *intern.Table, sources []asrel.ASN) VFStats {
 	c := g.freeze()
 	n := int32(c.NumNodes())
 	var srcIdx []int32

@@ -8,6 +8,7 @@ package valley
 import (
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/dataset"
+	"hybridrel/internal/intern"
 	"hybridrel/internal/topology"
 )
 
@@ -43,7 +44,7 @@ func (k Kind) String() string {
 // downhill run. Links without a known relationship are wildcards: the
 // path is a valley only if no relationship assignment could make it
 // valley-free.
-func Check(path []asrel.ASN, rels *asrel.Table) Kind {
+func Check(path []asrel.ASN, rels *intern.Table) Kind {
 	if len(path) < 3 {
 		// One or two ASes can never form a valley.
 		if hasUnknown(path, rels) {
@@ -98,7 +99,7 @@ func Check(path []asrel.ASN, rels *asrel.Table) Kind {
 	return KindValleyFree
 }
 
-func hasUnknown(path []asrel.ASN, rels *asrel.Table) bool {
+func hasUnknown(path []asrel.ASN, rels *intern.Table) bool {
 	for i := 0; i+1 < len(path); i++ {
 		if !rels.Get(path[i], path[i+1]).Known() {
 			return true
@@ -138,7 +139,7 @@ func (s Stats) NecessaryShare() float64 {
 
 // Classify checks every path and returns per-path kinds alongside the
 // aggregate statistics.
-func Classify(paths []*dataset.PathObs, rels *asrel.Table) ([]Kind, Stats) {
+func Classify(paths []*dataset.PathObs, rels *intern.Table) ([]Kind, Stats) {
 	kinds := make([]Kind, len(paths))
 	var st Stats
 	st.Total = len(paths)
@@ -164,7 +165,7 @@ func Classify(paths []*dataset.PathObs, rels *asrel.Table) ([]Kind, Stats) {
 // valley-free alternative exists even granting the unclassified links
 // their benign interpretation. One valley-free BFS per distinct vantage
 // keeps this cheap.
-func Assess(paths []*dataset.PathObs, rels *asrel.Table, g *topology.Graph) ([]Kind, Stats) {
+func Assess(paths []*dataset.PathObs, rels *intern.Table, g *topology.Graph) ([]Kind, Stats) {
 	kinds, st := Classify(paths, rels)
 	reach := make(map[asrel.ASN]map[asrel.ASN]int)
 	for i, p := range paths {

@@ -5,16 +5,17 @@ import (
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/dataset"
+	"hybridrel/internal/intern"
 	"hybridrel/internal/topology"
 )
 
 // rels builds a table from (a, b, rel-of-a-toward-b) triples.
-func rels(triples ...[3]int) *asrel.Table {
+func rels(triples ...[3]int) *intern.Table {
 	t := asrel.NewTable()
 	for _, tr := range triples {
 		t.Set(asrel.ASN(tr[0]), asrel.ASN(tr[1]), asrel.Rel(tr[2]))
 	}
-	return t
+	return intern.FromTable(t)
 }
 
 func TestCheckValleyFree(t *testing.T) {
@@ -139,7 +140,7 @@ func TestAssessNecessity(t *testing.T) {
 	add(2, 20, asrel.P2C)
 
 	leakPath := pathObs(1, 7, 2, 20) // down to 7, up to 2, down to 20
-	kinds, st := Assess([]*dataset.PathObs{leakPath}, tb, g)
+	kinds, st := Assess([]*dataset.PathObs{leakPath}, intern.FromTable(tb), g)
 	if kinds[0] != KindValley {
 		t.Fatalf("leak path kind = %s", kinds[0])
 	}
@@ -153,7 +154,7 @@ func TestAssessNecessity(t *testing.T) {
 	// Restore the direct peering: the same valley path becomes
 	// unnecessary.
 	add(1, 2, asrel.P2P)
-	_, st2 := Assess([]*dataset.PathObs{leakPath}, tb, g)
+	_, st2 := Assess([]*dataset.PathObs{leakPath}, intern.FromTable(tb), g)
 	if st2.Valley != 1 || st2.Necessary != 0 {
 		t.Errorf("after peering restored: %+v", st2)
 	}
