@@ -19,9 +19,12 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
@@ -566,9 +569,76 @@ func (d *Dataset) sortedIndex() []int32 {
 		idx[i] = int32(i)
 	}
 	if !d.sorted {
-		sort.Slice(idx, func(a, b int) bool { return d.comparePathAt(idx[a], idx[b]) < 0 })
+		d.sortRecs(idx)
 	}
 	return idx
+}
+
+// rankedRec is one record's sort entry: the packed ranks of its path's
+// first key window of hops and of the window after it.
+type rankedRec struct {
+	key, next uint64
+	rec       int32
+}
+
+// sortRecs sorts record indexes into canonical path order. A comparator
+// over AS numbers would resolve every interned id through the interner
+// — a cache miss per hop per comparison — so the distinct ASNs are
+// ranked once, in ASN order, and each record gets two packed keys of
+// rank+1 values at bits.Len(#ASNs) bits per hop: one for its first
+// window of hops and one for the window after it. Rank order is ASN
+// order and 0 marks the end of a path, so the key pair orders paths
+// exactly as their AS numbers do up to two windows of hops; only paths
+// agreeing on both windows fall back to the AS-number comparator.
+func (d *Dataset) sortRecs(idx []int32) {
+	if len(idx) < 2 {
+		return
+	}
+	rank := d.ranks()
+	w := bits.Len(uint(len(rank)))
+	hops := 64 / w
+	window := func(p []uint32) uint64 {
+		var key uint64
+		for j, id := range p[:min(len(p), hops)] {
+			key |= uint64(rank[id]) << (64 - w*(j+1))
+		}
+		return key
+	}
+	ks := make([]rankedRec, len(idx))
+	for i, ri := range idx {
+		r := &d.recs[ri]
+		p := d.arena[r.off:r.end]
+		ks[i] = rankedRec{window(p), window(p[min(len(p), hops):]), ri}
+	}
+	slices.SortFunc(ks, func(a, b rankedRec) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		if a.next != b.next {
+			return cmp.Compare(a.next, b.next)
+		}
+		return d.comparePathAt(a.rec, b.rec)
+	})
+	for i, k := range ks {
+		idx[i] = k.rec
+	}
+}
+
+// ranks returns each interned id's rank+1 among the interned ASNs in
+// ascending ASN order: the ids of the smallest and largest ASNs map to
+// 1 and Len().
+func (d *Dataset) ranks() []uint32 {
+	asns := d.in.ASNs()
+	order := make([]uint64, len(asns))
+	for id, a := range asns {
+		order[id] = uint64(a)<<32 | uint64(id)
+	}
+	slices.Sort(order)
+	rank := make([]uint32, len(asns))
+	for i, u := range order {
+		rank[uint32(u)] = uint32(i) + 1
+	}
+	return rank
 }
 
 // ensureSorted rebuilds arena and recs in canonical path order. It
@@ -646,6 +716,10 @@ func (d *Dataset) Merge(other *Dataset) error {
 
 	arena := make([]uint32, 0, len(d.arena)+len(other.arena))
 	recs := make([]pathRec, 0, len(d.recs)+len(other.recs))
+	// ids translates other's interned ids to d's, interning each on
+	// first use — in merge order, so d assigns ids exactly as it would
+	// interning hop by hop. Zero marks an id not yet translated.
+	ids := make([]uint32, other.in.Len())
 	var dup intern.CountsAccum
 
 	adopt := func(src *Dataset, r pathRec, foreign bool) {
@@ -655,7 +729,10 @@ func (d *Dataset) Merge(other *Dataset) error {
 			// space and move its community set and overflow prefixes
 			// into d's arenas.
 			for _, id := range src.arena[r.off:r.end] {
-				arena = append(arena, d.in.Intern(src.in.ASN(id)))
+				if ids[id] == 0 {
+					ids[id] = d.in.Intern(src.in.ASN(id)) + 1
+				}
+				arena = append(arena, ids[id]-1)
 			}
 			commOff := uint32(len(d.commArena))
 			d.commArena = append(d.commArena, src.commArena[r.commOff:r.commEnd]...)

@@ -26,7 +26,6 @@ package dataset
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/bgp"
@@ -163,7 +162,7 @@ func (d *Dataset) livePaths() []*PathObs {
 		for ri := n; ri < len(d.recs); ri++ {
 			fresh = append(fresh, int32(ri))
 		}
-		sort.Slice(fresh, func(a, b int) bool { return d.comparePathAt(fresh[a], fresh[b]) < 0 })
+		d.sortRecs(fresh)
 		l.order = d.mergeOrder(l.order, fresh)
 	}
 	out := make([]*PathObs, 0, l.active)

@@ -52,15 +52,12 @@ func Infer(paths []*dataset.PathObs, dict *community.Dictionary) *Result {
 // deterministic source of per-path community evidence — batch Infer
 // aggregates its emissions over all paths, and the live incremental
 // engine replays them with opposite sign when a path is withdrawn, so
-// the two cannot drift apart.
+// the two cannot drift apart. It allocates nothing itself.
+//
+//hybridrel:hotpath
 func PathVotes(p *dataset.PathObs, dict *community.Dictionary, emit func(tagger, neighbor asrel.ASN, rel asrel.Rel)) (contributed bool, offPath int, hasTE bool) {
 	if len(p.Communities) == 0 || len(p.Path) < 2 {
 		return false, 0, false
-	}
-	// Index the path for tagger attribution.
-	pos := make(map[asrel.ASN]int, len(p.Path))
-	for i, a := range p.Path {
-		pos[a] = i
 	}
 	for _, c := range p.Communities {
 		meaning, ok := dict.Lookup(c)
@@ -72,8 +69,8 @@ func PathVotes(p *dataset.PathObs, dict *community.Dictionary, emit func(tagger,
 			continue
 		}
 		tagger := asrel.ASN(c.ASN())
-		i, onPath := pos[tagger]
-		if !onPath {
+		i := position(p.Path, tagger)
+		if i < 0 {
 			offPath++
 			continue
 		}
@@ -91,4 +88,16 @@ func PathVotes(p *dataset.PathObs, dict *community.Dictionary, emit func(tagger,
 		contributed = true
 	}
 	return contributed, offPath, hasTE
+}
+
+// position returns the index of the last occurrence of a on path, or -1.
+// A cleaned path holds each AS once and is a handful of hops long, so a
+// scan beats indexing it.
+func position(path []asrel.ASN, a asrel.ASN) int {
+	for i := len(path) - 1; i >= 0; i-- {
+		if path[i] == a {
+			return i
+		}
+	}
+	return -1
 }

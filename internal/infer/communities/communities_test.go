@@ -93,8 +93,8 @@ func TestInferVoteAggregation(t *testing.T) {
 	if got := res.Table.Get(20, 30); got != asrel.P2C {
 		t.Errorf("rel(20,30) = %s, want p2c by majority", got)
 	}
-	v := res.Votes.Get(asrel.Key(20, 30))
-	if v == nil || v.Total() != 3 {
+	v, ok := res.Votes.Get(asrel.Key(20, 30))
+	if !ok || v.Total() != 3 {
 		t.Errorf("votes = %+v", v)
 	}
 }
@@ -138,5 +138,38 @@ func TestInferEmptyInputs(t *testing.T) {
 	res := Infer(nil, community.NewDictionary())
 	if res.Table.Len() != 0 || res.TaggedPaths != 0 {
 		t.Error("empty inference produced output")
+	}
+}
+
+// pathVotesSink counts emissions; a package variable keeps the test's
+// emit function free of captures.
+var pathVotesSink int
+
+// TestPathVotesNoAlloc pins PathVotes at zero allocations: tagger
+// attribution scans the path instead of indexing it in a map, so with
+// an emit that captures nothing a path costs no heap at all. The path
+// is longer than a map index would fit in stack storage.
+func TestPathVotesNoAlloc(t *testing.T) {
+	d := dict(t, map[bgp.Community]community.Meaning{
+		bgp.MakeCommunity(20, 100): community.MeaningCustomer,
+		bgp.MakeCommunity(10, 77):  community.MeaningPeer,
+		bgp.MakeCommunity(30, 2):   community.MeaningCustomer,
+		bgp.MakeCommunity(20, 90):  community.MeaningTE,
+		bgp.MakeCommunity(99, 1):   community.MeaningCustomer, // 99 is off the path
+	})
+	p := obs([]asrel.ASN{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120},
+		bgp.MakeCommunity(20, 100), bgp.MakeCommunity(10, 77),
+		bgp.MakeCommunity(30, 2), bgp.MakeCommunity(99, 1), bgp.MakeCommunity(20, 90))
+	emit := func(asrel.ASN, asrel.ASN, asrel.Rel) { pathVotesSink++ }
+	allocs := testing.AllocsPerRun(200, func() {
+		PathVotes(p, d, emit)
+	})
+	if allocs != 0 {
+		t.Errorf("PathVotes allocates %.1f objects per path, want 0", allocs)
+	}
+	pathVotesSink = 0
+	contributed, offPath, hasTE := PathVotes(p, d, emit)
+	if !contributed || offPath != 1 || !hasTE || pathVotesSink != 3 {
+		t.Errorf("PathVotes = %v, %d offpath, TE %v, %d votes; want true, 1, true, 3", contributed, offPath, hasTE, pathVotesSink)
 	}
 }

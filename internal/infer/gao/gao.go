@@ -84,7 +84,7 @@ func Infer(paths []*dataset.PathObs, cfg Config) *Result {
 	keys := votes.Keys()
 	b.Grow(len(keys))
 	for _, k := range keys {
-		v := votes.Get(k)
+		v, _ := votes.Get(k)
 		var r asrel.Rel
 		switch {
 		case topAdj[k] && !notPeer[k] &&

@@ -5,8 +5,6 @@
 package infer
 
 import (
-	"sort"
-
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/intern"
 )
@@ -77,15 +75,32 @@ func (v *Votes) Resolve() asrel.Rel {
 }
 
 // VoteTable accumulates Votes per link and resolves them into a frozen
-// intern.Table.
+// intern.Table. It is an open-addressed table on packed link keys with
+// each link's counts stored inline, after intern.CountsAccum: a vote on
+// a link already present is a hash probe and an add, with no per-link
+// heap object. A slot is occupied exactly when its counts are not all
+// zero, so a link whose last vote is retracted frees its slot — by
+// backward-shift deletion, leaving no tombstone — and a churning live
+// feed cannot grow the table beyond its distinct voted links. The zero
+// value is ready to use. Its probe and grow loops mirror CountsAccum's
+// and are kept separate for speed: a generic table shared by both was
+// markedly slower, as Go does not inline its shape-instantiated probe.
 type VoteTable struct {
-	votes map[asrel.LinkKey]*Votes
+	slots []voteSlot
+	n     int
 }
 
-// NewVoteTable returns an empty accumulator.
-func NewVoteTable() *VoteTable {
-	return &VoteTable{votes: make(map[asrel.LinkKey]*Votes)}
+// voteSlot is one table slot: a packed link key and its inline counts.
+type voteSlot struct {
+	key uint64
+	v   Votes
 }
+
+// voteTableMinSize is the initial slot count; must be a power of two.
+const voteTableMinSize = 64
+
+// NewVoteTable returns an empty accumulator.
+func NewVoteTable() *VoteTable { return &VoteTable{} }
 
 // Add registers a vote that a (toward b) has relationship r.
 func (t *VoteTable) Add(a, b asrel.ASN, r asrel.Rel) { t.AddN(a, b, r, 1) }
@@ -94,67 +109,143 @@ func (t *VoteTable) Add(a, b asrel.ASN, r asrel.Rel) { t.AddN(a, b, r, 1) }
 func (t *VoteTable) Sub(a, b asrel.ASN, r asrel.Rel) { t.SubN(a, b, r, 1) }
 
 // AddN registers n votes that a (toward b) has relationship r — one
-// counted emission standing for n identical paths.
+// counted emission standing for n identical paths. Votes that leave the
+// link's counts all zero (n == 0, or r not a relationship) record
+// nothing.
+//
+//hybridrel:hotpath
 func (t *VoteTable) AddN(a, b asrel.ASN, r asrel.Rel, n int) {
-	k := asrel.Key(a, b)
-	v := t.votes[k]
-	if v == nil {
-		v = &Votes{}
-		t.votes[k] = v
+	if (t.n+1)*4 > len(t.slots)*3 {
+		t.grow()
 	}
-	v.AddN(k, a, r, n)
+	k := asrel.Key(a, b)
+	i, found := t.find(intern.Pack(k))
+	s := &t.slots[i]
+	if !found {
+		s.key = intern.Pack(k)
+		t.n++
+	}
+	s.v.AddN(k, a, r, n)
+	if s.v == (Votes{}) {
+		t.remove(i) // nothing counted, or a negative n cancelled the last votes
+	}
 }
 
 // SubN retracts n votes previously registered with Add or AddN,
 // dropping the link's record when its last vote goes. Retracting more
 // votes than were added is a caller bug; the counts would go negative
 // and Resolve's majorities would be meaningless.
+//
+//hybridrel:hotpath
 func (t *VoteTable) SubN(a, b asrel.ASN, r asrel.Rel, n int) {
 	k := asrel.Key(a, b)
-	v := t.votes[k]
-	if v == nil {
+	i, found := t.find(intern.Pack(k))
+	if !found {
 		return
 	}
-	v.AddN(k, a, r, -n)
-	if v.Total() == 0 {
-		delete(t.votes, k)
+	s := &t.slots[i]
+	s.v.AddN(k, a, r, -n)
+	if s.v.Total() == 0 {
+		t.remove(i)
 	}
 }
 
-// Get returns the vote record for a link, or nil.
-func (t *VoteTable) Get(k asrel.LinkKey) *Votes { return t.votes[k] }
+// find returns the slot holding u, or the empty slot where u would go.
+func (t *VoteTable) find(u uint64) (int, bool) {
+	if len(t.slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(t.slots) - 1)
+	i := intern.HashPacked(u) & mask
+	for {
+		s := &t.slots[i]
+		if s.v == (Votes{}) {
+			return int(i), false
+		}
+		if s.key == u {
+			return int(i), true
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// remove empties slot i, shifting later members of its probe run back
+// so every remaining key stays reachable from its home slot.
+func (t *VoteTable) remove(i int) {
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].v != (Votes{}); j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home slot
+		// lies cyclically in (i, j].
+		home := int(intern.HashPacked(t.slots[j].key)) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = voteSlot{}
+	t.n--
+}
+
+// grow doubles the table (or seeds it) and reinserts every occupied slot.
+func (t *VoteTable) grow() {
+	size := voteTableMinSize
+	if len(t.slots) > 0 {
+		size = len(t.slots) * 2
+	}
+	old := t.slots
+	t.slots = make([]voteSlot, size)
+	for _, s := range old {
+		if s.v != (Votes{}) {
+			i, _ := t.find(s.key)
+			t.slots[i] = s
+		}
+	}
+}
+
+// Get returns the votes recorded for a link and whether it has any.
+// The record is a copy: the table moves its slots as it grows.
+func (t *VoteTable) Get(k asrel.LinkKey) (Votes, bool) {
+	i, found := t.find(intern.Pack(k))
+	if !found {
+		return Votes{}, false
+	}
+	return t.slots[i].v, true
+}
+
+// packed returns the packed keys of the links selected by keep,
+// ascending.
+func (t *VoteTable) packed(keep func(*Votes) bool) []uint64 {
+	keys := make([]uint64, 0, t.n)
+	for i := range t.slots {
+		if s := &t.slots[i]; s.v != (Votes{}) && keep(&s.v) {
+			keys = append(keys, s.key)
+		}
+	}
+	intern.SortPacked(keys)
+	return keys
+}
 
 // Keys returns every voted link in canonical ascending order.
 func (t *VoteTable) Keys() []asrel.LinkKey {
-	out := make([]asrel.LinkKey, 0, len(t.votes))
-	for k := range t.votes {
-		out = append(out, k)
+	keys := t.packed(func(*Votes) bool { return true })
+	out := make([]asrel.LinkKey, len(keys))
+	for i, u := range keys {
+		out[i] = intern.Unpack(u)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Lo != out[j].Lo {
-			return out[i].Lo < out[j].Lo
-		}
-		return out[i].Hi < out[j].Hi
-	})
 	return out
 }
 
 // Len returns the number of links with votes.
-func (t *VoteTable) Len() int { return len(t.votes) }
+func (t *VoteTable) Len() int { return t.n }
 
 // Resolve produces the final relationship table, frozen and sorted by
 // packed key; links resolving to Unknown are omitted.
 func (t *VoteTable) Resolve() *intern.Table {
-	keys := make([]uint64, 0, len(t.votes))
-	for k, v := range t.votes {
-		if v.Resolve().Known() {
-			keys = append(keys, intern.Pack(k))
-		}
-	}
-	intern.SortPacked(keys)
+	keys := t.packed(func(v *Votes) bool { return v.Resolve().Known() })
 	rels := make([]asrel.Rel, len(keys))
 	for i, u := range keys {
-		rels[i] = t.votes[intern.Unpack(u)].Resolve()
+		j, _ := t.find(u)
+		rels[i] = t.slots[j].v.Resolve()
 	}
 	return intern.TableFromSorted(keys, rels)
 }

@@ -1,6 +1,8 @@
 package infer
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"hybridrel/internal/asrel"
@@ -68,11 +70,11 @@ func TestVoteTable(t *testing.T) {
 	if tbl.Has(5, 6) {
 		t.Error("conflicted link resolved")
 	}
-	if vt.Get(asrel.Key(1, 2)).P2C != 2 {
+	if v, ok := vt.Get(asrel.Key(1, 2)); !ok || v.P2C != 2 {
 		t.Error("Get returned wrong votes")
 	}
-	if vt.Get(asrel.Key(9, 9)) != nil {
-		t.Error("Get on absent link non-nil")
+	if _, ok := vt.Get(asrel.Key(9, 9)); ok {
+		t.Error("Get on absent link found votes")
 	}
 }
 
@@ -219,8 +221,8 @@ func TestVoteTableCounted(t *testing.T) {
 	vt := NewVoteTable()
 	vt.AddN(2, 1, asrel.C2P, 3) // three votes that 1 is provider of 2
 	vt.Add(1, 2, asrel.P2P)
-	if v := vt.Get(asrel.Key(1, 2)); v.P2C != 3 || v.P2P != 1 {
-		t.Fatalf("votes = %+v", *v)
+	if v, _ := vt.Get(asrel.Key(1, 2)); v.P2C != 3 || v.P2P != 1 {
+		t.Fatalf("votes = %+v", v)
 	}
 	vt.SubN(2, 1, asrel.C2P, 3)
 	if got := vt.Resolve().Get(1, 2); got != asrel.P2P {
@@ -229,5 +231,169 @@ func TestVoteTableCounted(t *testing.T) {
 	vt.Sub(1, 2, asrel.P2P)
 	if vt.Len() != 0 {
 		t.Errorf("link kept after its last vote was retracted: Len = %d", vt.Len())
+	}
+	// Votes that count nothing record nothing.
+	vt.AddN(3, 4, asrel.P2C, 0)
+	vt.Add(3, 4, asrel.Unknown)
+	if _, ok := vt.Get(asrel.Key(3, 4)); ok || vt.Len() != 0 {
+		t.Errorf("empty votes recorded a link: Len = %d", vt.Len())
+	}
+}
+
+// voteEmission is one AddN the vote-table test may later retract.
+type voteEmission struct {
+	a, b asrel.ASN
+	rel  asrel.Rel
+	n    int
+}
+
+// TestVoteTableMatchesMap drives the open-addressed table and a map
+// reference through the same random AddN/SubN sequence — votes
+// retracted to zero and re-added, and a link pool that widens
+// mid-run so the table grows — and compares Get, Keys, Len and Resolve
+// throughout.
+func TestVoteTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rels := []asrel.Rel{asrel.P2C, asrel.C2P, asrel.P2P, asrel.S2S}
+	var pool []asrel.LinkKey
+	widen := func(n int) {
+		for len(pool) < n {
+			a, b := asrel.ASN(rng.Uint32()), asrel.ASN(rng.Intn(64))
+			switch rng.Intn(8) {
+			case 0:
+				a = 0
+			case 1:
+				a = math.MaxUint32
+			}
+			pool = append(pool, asrel.Key(a, b))
+		}
+	}
+	vt := NewVoteTable()
+	ref := make(map[asrel.LinkKey]Votes)
+	var live []voteEmission
+	check := func(step int) {
+		t.Helper()
+		if vt.Len() != len(ref) {
+			t.Fatalf("step %d: Len = %d, want %d", step, vt.Len(), len(ref))
+		}
+		keys := vt.Keys()
+		if len(keys) != len(ref) {
+			t.Fatalf("step %d: %d keys, want %d", step, len(keys), len(ref))
+		}
+		for i, k := range keys {
+			if i > 0 && intern.Pack(keys[i-1]) >= intern.Pack(k) {
+				t.Fatalf("step %d: Keys out of order at %d: %v then %v", step, i, keys[i-1], k)
+			}
+			if _, ok := ref[k]; !ok {
+				t.Fatalf("step %d: Keys lists %v, which has no votes", step, k)
+			}
+		}
+		for _, k := range pool {
+			got, ok := vt.Get(k)
+			want, wantOK := ref[k]
+			if ok != wantOK || got != want {
+				t.Fatalf("step %d: Get(%v) = %+v, %v; want %+v, %v", step, k, got, ok, want, wantOK)
+			}
+		}
+		tbl := vt.Resolve()
+		known := 0
+		for k, v := range ref {
+			if r := v.Resolve(); r.Known() {
+				known++
+				if got := tbl.GetKey(k); got != r {
+					t.Fatalf("step %d: Resolve()[%v] = %s, want %s", step, k, got, r)
+				}
+			}
+		}
+		if tbl.Len() != known {
+			t.Fatalf("step %d: Resolve() has %d links, want %d", step, tbl.Len(), known)
+		}
+	}
+	apply := func(e voteEmission, sign int) {
+		k := asrel.Key(e.a, e.b)
+		v := ref[k]
+		v.AddN(k, e.a, e.rel, sign*e.n)
+		if v.Total() == 0 {
+			delete(ref, k)
+		} else {
+			ref[k] = v
+		}
+		if sign > 0 {
+			vt.AddN(e.a, e.b, e.rel, e.n)
+		} else {
+			vt.SubN(e.a, e.b, e.rel, e.n)
+		}
+	}
+	widen(12)
+	for step := 0; step < 30000; step++ {
+		if step == 10000 {
+			widen(3000) // the table must grow past its first sizes
+		}
+		if len(live) > 0 && rng.Intn(5) < 2 {
+			i := rng.Intn(len(live))
+			apply(live[i], -1)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		} else {
+			k := pool[rng.Intn(len(pool))]
+			a, b := k.Lo, k.Hi
+			if rng.Intn(2) == 0 {
+				a, b = b, a
+			}
+			e := voteEmission{a, b, rels[rng.Intn(len(rels))], 1 + rng.Intn(3)}
+			apply(e, 1)
+			live = append(live, e)
+		}
+		if step%997 == 0 {
+			check(step)
+		}
+	}
+	check(30000)
+	for _, e := range live {
+		apply(e, -1)
+	}
+	check(30001)
+	if vt.Len() != 0 {
+		t.Fatalf("every vote retracted, Len = %d", vt.Len())
+	}
+
+	// A fixed set of links voted and retracted over and over reuses the
+	// slots it freed: the table never grows past what the set needed.
+	cyc := NewVoteTable()
+	fixed := pool[:40]
+	for _, k := range fixed {
+		cyc.Add(k.Lo, k.Hi, asrel.P2C)
+	}
+	slots := len(cyc.slots)
+	for i := range fixed {
+		cyc.Sub(fixed[i].Lo, fixed[i].Hi, asrel.P2C)
+	}
+	for c := 0; c < 100000; c++ {
+		k := fixed[rng.Intn(len(fixed))]
+		cyc.Add(k.Hi, k.Lo, asrel.C2P)
+		cyc.Sub(k.Hi, k.Lo, asrel.C2P)
+	}
+	if cyc.Len() != 0 || len(cyc.slots) != slots {
+		t.Errorf("after 10⁵ add/retract cycles over %d links: Len = %d, %d slots (was %d)", len(fixed), cyc.Len(), len(cyc.slots), slots)
+	}
+}
+
+// TestVoteTableSteadyStateNoAlloc pins AddN and SubN at zero
+// allocations once the table holds its working set: a vote on a
+// present link, and a link retracted to nothing and voted again, both
+// reuse the table's storage.
+func TestVoteTableSteadyStateNoAlloc(t *testing.T) {
+	vt := NewVoteTable()
+	for i := asrel.ASN(1); i <= 20; i++ {
+		vt.AddN(i, i+100, asrel.P2C, 2)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		vt.AddN(5, 105, asrel.P2P, 3)
+		vt.SubN(5, 105, asrel.P2P, 3)
+		vt.SubN(7, 107, asrel.P2C, 2)
+		vt.AddN(7, 107, asrel.P2C, 2)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state AddN/SubN allocate %.1f objects per run, want 0", allocs)
 	}
 }

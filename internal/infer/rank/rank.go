@@ -89,7 +89,7 @@ func Infer(paths []*dataset.PathObs, cfg Config) *Result {
 	keys := votes.Keys()
 	b.Grow(len(keys))
 	for _, k := range keys {
-		v := votes.Get(k)
+		v, _ := votes.Get(k)
 		var r asrel.Rel
 		switch {
 		// Clique-internal links are peerings by construction.
@@ -203,7 +203,7 @@ func similar(a, b int, ratio float64) bool {
 	return float64(hi) <= ratio*float64(lo)
 }
 
-func dominant(v *infer.Votes, threshold float64) bool {
+func dominant(v infer.Votes, threshold float64) bool {
 	total := v.P2C + v.C2P
 	if total < 3 {
 		return false

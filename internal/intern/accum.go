@@ -18,10 +18,11 @@ type CountsAccum struct {
 // accumMinSize is the initial table size; must be a power of two.
 const accumMinSize = 64
 
-// hashPacked scrambles a packed link key into a table slot seed
+// HashPacked scrambles a packed link key into a table slot seed
 // (splitmix64 finalizer — packed keys are highly structured, low bits
-// alone would cluster).
-func hashPacked(u uint64) uint64 {
+// alone would cluster). CountsAccum and infer.VoteTable both probe from
+// it.
+func HashPacked(u uint64) uint64 {
 	u ^= u >> 30
 	u *= 0xbf58476d1ce4e5b9
 	u ^= u >> 27
@@ -44,7 +45,7 @@ func (c *CountsAccum) Add(k asrel.LinkKey, delta int32) {
 	}
 	mask := uint64(len(c.keys) - 1)
 	u := Pack(k)
-	i := hashPacked(u) & mask
+	i := HashPacked(u) & mask
 	for {
 		if c.counts[i] == 0 {
 			c.keys[i] = u
@@ -88,7 +89,7 @@ func (c *CountsAccum) grow() {
 		if n == 0 {
 			continue
 		}
-		j := hashPacked(c.keys[i]) & mask
+		j := HashPacked(c.keys[i]) & mask
 		for counts[j] != 0 {
 			j = (j + 1) & mask
 		}
@@ -113,7 +114,7 @@ func (c *CountsAccum) Freeze() *Counts {
 	sortPacked(out.keys)
 	out.counts = out.counts[:len(out.keys)]
 	for i, u := range out.keys {
-		j := hashPacked(u) & uint64(len(c.keys)-1)
+		j := HashPacked(u) & uint64(len(c.keys)-1)
 		for c.keys[j] != u || c.counts[j] == 0 {
 			j = (j + 1) & uint64(len(c.keys)-1)
 		}

@@ -174,10 +174,8 @@ func (e *planeEngine) resolve(threshold float64) {
 // resolved returns the relationship votes currently resolve k to,
 // Unknown when the link has no votes left.
 func resolved(votes *infer.VoteTable, k asrel.LinkKey) asrel.Rel {
-	if v := votes.Get(k); v != nil {
-		return v.Resolve()
-	}
-	return asrel.Unknown
+	v, _ := votes.Get(k) // an absent link's zero Votes resolve to Unknown
+	return v.Resolve()
 }
 
 // patch returns t with the changed links (packed, any order; sorted in
