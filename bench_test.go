@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"hybridrel/internal/asrel"
-	"hybridrel/internal/benchkit"
 	"hybridrel/internal/bgp"
 	"hybridrel/internal/bgpsim"
 	"hybridrel/internal/core"
@@ -440,13 +439,24 @@ func BenchmarkMRTVisit(b *testing.B) {
 	}
 }
 
+// dedupWorkload reconstructs an observation stream from a plane's
+// unique paths: each replayed as many times as it was observed — the
+// duplicate-heavy mix the ingest dedup sees.
+func dedupWorkload(paths []*dataset.PathObs) [][]asrel.ASN {
+	var out [][]asrel.ASN
+	for _, p := range paths {
+		for i := 0; i < p.Obs; i++ {
+			out = append(out, p.Path)
+		}
+	}
+	return out
+}
+
 // BenchmarkDedupInterned measures the interned arena-hash path dedup
-// the dataset runs on. The workload is benchkit's own, so this number
-// and the `experiments -bench` dedup/interned row measure identical
-// work.
+// the dataset runs on.
 func BenchmarkDedupInterned(b *testing.B) {
 	_, a := benchSetup(b)
-	obs := benchkit.DedupWorkload(a.D6.Paths())
+	obs := dedupWorkload(a.D6.Paths())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -17,27 +17,10 @@
 // against the planted truth, with the differential invariant suite.
 // The command exits non-zero if any invariant fails.
 //
-// With -bench the hot-path benchmark suite (internal/benchkit) runs
-// instead: sequential, visitor-decode and parallel ingest, the path
-// dedup, the dual-stack join and inference derived products, the
-// snapshot codec, and the serving layer's per-AS and per-link
-// endpoints (the latter bare and fully instrumented, measuring the
-// observability middleware's overhead), plus the Internet-scale
-// section: the sharded world generator at the 600 and 10k tiers and
-// the snapshot load modes over those worlds (v1 streaming decode vs
-// format-v2 mmap), with the mmap load gated tier-independent. Results
-// are written to -benchout (BENCH_PR10.json by default) — the perf
-// trajectory CI uploads on every change — and printed as a table (or
-// to stdout as JSON with -json). -benchtime accepts a duration or
-// "1x" for the single-iteration CI smoke mode. -benchbaseline diffs
-// the fresh report against a committed baseline and exits non-zero if
-// any named benchmark regressed more than 2x in ns/op.
-//
 // Usage:
 //
 //	experiments [-scale small|default] [-seed N] [-top N] [-parallel N] [-exact] [-json]
 //	experiments -scenarios [-tier short|full|10k] [-parallel N] [-json]
-//	experiments -bench [-tier short|full|10k] [-scenario name] [-benchtime 1s|1x] [-benchout file] [-benchbaseline file] [-json]
 package main
 
 import (
@@ -53,7 +36,6 @@ import (
 
 	"hybridrel"
 	"hybridrel/internal/asrel"
-	"hybridrel/internal/benchkit"
 	"hybridrel/internal/cli"
 	"hybridrel/internal/core"
 	"hybridrel/internal/infer"
@@ -82,12 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parallel  = fs.Int("parallel", 0, "pipeline workers (0 = all cores)")
 		jsonOut   = fs.Bool("json", false, "print machine-readable JSON instead of tables")
 		scenarios = fs.Bool("scenarios", false, "run the scenario validation matrix instead of the paper tables")
-		tier      = fs.String("tier", "short", "scenario matrix / benchmark tier: short | full | 10k")
-		bench     = fs.Bool("bench", false, "run the hot-path benchmark suite instead of the paper tables")
-		benchTime = fs.String("benchtime", "1s", "per-benchmark time budget (duration, or 1x for one iteration)")
-		benchOut  = fs.String("benchout", "BENCH_PR10.json", "file the benchmark report is written to")
-		benchBase = fs.String("benchbaseline", "", "committed baseline report to diff against; exit non-zero on a >2x ns/op regression")
-		scName    = fs.String("scenario", "tunnel-heavy", "scenario family the benchmarks run against")
+		tier      = fs.String("tier", "short", "scenario matrix tier: short | full | 10k")
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
@@ -100,9 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *bench {
-		return runBench(ctx, *tier, *scName, *benchTime, *benchOut, *benchBase, *jsonOut, stdout, logger)
-	}
 	if *scenarios {
 		return runScenarios(ctx, *tier, *parallel, *jsonOut, stdout, logger)
 	}
@@ -176,104 +150,6 @@ func parseTier(tier string) (scenario.Tier, error) {
 		return scenario.Tier10k, nil
 	}
 	return 0, fmt.Errorf("unknown -tier %q (want short, full or 10k)", tier)
-}
-
-// runBench executes the benchmark suite and writes the report to
-// benchOut plus stdout (table, or JSON with -json). When benchBase
-// names a committed baseline report, the fresh report is diffed
-// against it and any benchmark more than 2x slower fails the run —
-// the CI perf regression gate.
-func runBench(ctx context.Context, tier, scName, benchTime, benchOut, benchBase string, jsonOut bool, stdout io.Writer, logger *log.Logger) error {
-	t, err := parseTier(tier)
-	if err != nil {
-		return err
-	}
-	opt := benchkit.Options{Scenario: scName, Tier: t}
-	if benchTime == "1x" {
-		opt.Once = true
-	} else {
-		d, err := time.ParseDuration(benchTime)
-		if err != nil {
-			return fmt.Errorf("invalid -benchtime %q (want a duration or 1x)", benchTime)
-		}
-		opt.Benchtime = d
-	}
-	start := time.Now()
-	logger.Printf("benchmarking %s scenario (%s tier, benchtime %s)...", scName, tier, benchTime)
-	rep, err := benchkit.Run(ctx, opt)
-	if err != nil {
-		return err
-	}
-	logger.Printf("suite done in %v", time.Since(start).Round(time.Millisecond))
-
-	f, err := os.Create(benchOut)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	logger.Printf("report written to %s", benchOut)
-
-	checkBaseline := func() error {
-		if benchBase == "" {
-			return nil
-		}
-		raw, err := os.ReadFile(benchBase)
-		if err != nil {
-			return fmt.Errorf("benchbaseline: %w", err)
-		}
-		var base benchkit.Report
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("benchbaseline %s: %w", benchBase, err)
-		}
-		regressions := benchkit.CompareReports(&base, rep, benchkit.RegressionRatio)
-		if len(regressions) == 0 {
-			logger.Printf("no >%.0fx regressions against %s", benchkit.RegressionRatio, benchBase)
-			return nil
-		}
-		for _, r := range regressions {
-			logger.Printf("REGRESSION %s", r)
-		}
-		return fmt.Errorf("%d benchmark(s) regressed >%.0fx against %s",
-			len(regressions), benchkit.RegressionRatio, benchBase)
-	}
-
-	if jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		return checkBaseline()
-	}
-	tb := report.NewTable(
-		fmt.Sprintf("hot-path benchmarks — %s scenario, %s tier (%d dual-stack links)",
-			rep.Scenario, rep.Tier, rep.World.DualStack),
-		"benchmark", "iters", "ns/op", "allocs/op", "B/op")
-	for _, r := range rep.Results {
-		tb.Row(r.Name, r.Iters, fmt.Sprintf("%.0f", r.NsPerOp),
-			fmt.Sprintf("%.1f", r.AllocsPerOp), fmt.Sprintf("%.0f", r.BytesPerOp))
-	}
-	if err := tb.Write(stdout); err != nil {
-		return err
-	}
-	cmp := report.NewTable("interned vs map baseline (per-pair targets in the report)",
-		"comparison", "speedup", "alloc ratio", "targets met")
-	for _, c := range rep.Comparisons {
-		cmp.Row(c.Name, fmt.Sprintf("%.2fx", c.Speedup),
-			fmt.Sprintf("%.2fx", c.AllocRatio), c.MeetsTargets)
-	}
-	if err := cmp.Write(stdout); err != nil {
-		return err
-	}
-	return checkBaseline()
 }
 
 // runScenarios executes the validation matrix and renders it as JSON

@@ -10,13 +10,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
-	"hybridrel/internal/benchkit"
 	"hybridrel/internal/cli"
 	"hybridrel/internal/golden"
 	"hybridrel/internal/scenario"
@@ -44,78 +41,12 @@ func TestRunFlagErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("bad -tier: err = %v, want named error", err)
 	}
-	if err := run([]string{"-bench", "-benchtime", "soon"}, &out, &errb); err == nil ||
-		!strings.Contains(err.Error(), "soon") {
-		t.Fatalf("bad -benchtime: err = %v, want named error", err)
-	}
-	if err := run([]string{"-bench", "-scenario", "no-such-family", "-benchtime", "1x"}, &out, &errb); err == nil ||
-		!strings.Contains(err.Error(), "no-such-family") {
-		t.Fatalf("bad -scenario: err = %v, want named error", err)
-	}
 	errb.Reset()
 	if err := run([]string{"-top", "-1", "-scale", "small"}, &out, &errb); !errors.Is(err, cli.ErrUsage) {
 		t.Fatalf("-top -1: err = %v, want cli.ErrUsage", err)
 	}
 	if !strings.Contains(errb.String(), "-top") {
 		t.Errorf("stderr did not name -top: %q", errb.String())
-	}
-}
-
-// TestRunBenchSmoke runs the benchmark suite in its CI smoke mode (one
-// iteration per benchmark, short tier) and pins the report schema: the
-// JSON written to -benchout must decode into a benchkit.Report whose
-// suite covers every named benchmark and same-run comparison.
-func TestRunBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench smoke builds a scenario world; skipped under -short")
-	}
-	outFile := filepath.Join(t.TempDir(), "BENCH_test.json")
-	var out, errb bytes.Buffer
-	if err := run([]string{"-bench", "-benchtime", "1x", "-benchout", outFile, "-json"}, &out, &errb); err != nil {
-		t.Fatalf("run -bench: %v (stderr: %s)", err, errb.String())
-	}
-	raw, err := os.ReadFile(outFile)
-	if err != nil {
-		t.Fatalf("benchout not written: %v", err)
-	}
-	var rep benchkit.Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("benchout is not a benchkit report: %v", err)
-	}
-	// Stdout (-json) carries the same document.
-	var stdoutRep benchkit.Report
-	if err := json.Unmarshal(out.Bytes(), &stdoutRep); err != nil {
-		t.Fatalf("-json stdout is not a benchkit report: %v", err)
-	}
-	names := make(map[string]bool, len(rep.Results))
-	for _, r := range rep.Results {
-		names[r.Name] = true
-		if r.Iters != 1 {
-			t.Errorf("%s: %d iters in 1x mode, want 1", r.Name, r.Iters)
-		}
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: non-positive ns/op", r.Name)
-		}
-	}
-	for _, want := range []string{
-		"ingest/sequential", "ingest/visit", "ingest/parallel",
-		"dedup/interned", "join/flat", "inference/flat",
-		"snapshot/encode", "snapshot/decode", "serve/as",
-		"infer/full", "infer/incremental",
-		"serve/rel", "serve/rel-instrumented",
-		"scale/gen-600", "scale/gen-10k",
-		"snapshot/load-v1-600", "snapshot/load-mmap-600",
-		"snapshot/load-v1-10k", "snapshot/load-mmap-10k",
-	} {
-		if !names[want] {
-			t.Errorf("benchmark %s missing from the suite", want)
-		}
-	}
-	if len(rep.Comparisons) != 4 {
-		t.Fatalf("got %d comparisons, want 4 (live-infer, serve-obs, mmap-load, mmap-tier)", len(rep.Comparisons))
-	}
-	if rep.Scenario != "tunnel-heavy" || rep.World.DualStack == 0 {
-		t.Errorf("report world looks wrong: %+v", rep.World)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/gen"
-	"hybridrel/internal/topology"
 )
 
 // Class is the preference class of a learned route, ascending.
@@ -340,6 +339,3 @@ func (r *Result) ReachableCount() int {
 	}
 	return n
 }
-
-// Tier reports the generated tier of an AS, for reporting convenience.
-func (s *Sim) Tier(asn asrel.ASN) topology.Tier { return s.in.AS(asn).Tier }

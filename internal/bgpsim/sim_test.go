@@ -25,7 +25,7 @@ func tiny(links map[asrel.LinkKey]asrel.Rel, vantages ...asrel.ASN) *gen.Interne
 	}
 	addAS := func(a asrel.ASN) {
 		if in.ASes[a] == nil {
-			in.ASes[a] = &gen.AS{ASN: a, IPv6: true, Tier: topology.Tier2}
+			in.ASes[a] = &gen.AS{ASN: a, IPv6: true, Tier: gen.Tier2}
 			in.Order = append(in.Order, a)
 			in.Graph4.AddNode(a)
 			in.Graph6.AddNode(a)

@@ -58,11 +58,11 @@ func (b *builder) makeASes() {
 		a := &AS{ASN: asn}
 		switch {
 		case i <= b.cfg.NumTier1:
-			a.Tier = topology.Tier1
+			a.Tier = Tier1
 			in.Tier1 = append(in.Tier1, asn)
 			b.layers[0] = append(b.layers[0], asn)
 		case b.rng.Float64() < b.cfg.TransitFraction:
-			a.Tier = topology.Tier2
+			a.Tier = Tier2
 			// The transit hierarchy: national carriers, regional
 			// networks, access networks.
 			r := b.rng.Float64()
@@ -76,10 +76,10 @@ func (b *builder) makeASes() {
 			}
 			b.layers[a.Layer] = append(b.layers[a.Layer], asn)
 		default:
-			a.Tier = topology.TierStub
+			a.Tier = TierStub
 			b.stubs = append(b.stubs, asn)
 		}
-		if a.Tier != topology.TierStub {
+		if a.Tier != TierStub {
 			b.transits = append(b.transits, asn)
 		}
 		in.ASes[asn] = a
@@ -99,11 +99,11 @@ func providerClasses(a *AS) []struct {
 		mult  float64
 	}
 	switch {
-	case a.Tier == topology.Tier2 && a.Layer == 1:
+	case a.Tier == Tier2 && a.Layer == 1:
 		return []cw{{0, 1.0}}
-	case a.Tier == topology.Tier2 && a.Layer == 2:
+	case a.Tier == Tier2 && a.Layer == 2:
 		return []cw{{1, 1.0}, {0, 0.15}}
-	case a.Tier == topology.Tier2 && a.Layer == 3:
+	case a.Tier == Tier2 && a.Layer == 3:
 		// Access networks chain below regionals and below each other —
 		// the deep tails of the 2010 (IPv6 especially) hierarchy.
 		return []cw{{2, 1.0}, {3, 0.45}, {1, 0.12}}
@@ -129,7 +129,7 @@ func (b *builder) buildV4() {
 	// Provider links.
 	for _, asn := range in.Order {
 		a := in.ASes[asn]
-		if a.Tier == topology.Tier1 {
+		if a.Tier == Tier1 {
 			continue
 		}
 		n := 1
@@ -146,13 +146,13 @@ func (b *builder) buildV4() {
 	// Lateral transit peering within each layer.
 	for _, t := range b.transits {
 		at := in.ASes[t]
-		if at.Tier == topology.Tier1 {
+		if at.Tier == Tier1 {
 			continue
 		}
 		k := poisson(b.rng, b.cfg.TransitPeerAvg)
 		peersOK := func(c asrel.ASN) bool {
 			ac := in.ASes[c]
-			return c != t && ac.Tier == topology.Tier2 && ac.Layer == at.Layer &&
+			return c != t && ac.Tier == Tier2 && ac.Layer == at.Layer &&
 				!in.Graph4.HasLink(t, c)
 		}
 		for j := 0; j < k; j++ {
@@ -270,7 +270,7 @@ func (b *builder) pickProviders(a *AS, n int) []asrel.ASN {
 	}
 	weight := func(c cand) float64 {
 		base := float64(b.customers[c.asn] + 1)
-		if b.in.ASes[c.asn].Tier == topology.Tier1 {
+		if b.in.ASes[c.asn].Tier == Tier1 {
 			base = float64(b.customers[c.asn] + 25)
 		}
 		return c.mult * math.Pow(base, 0.72)
@@ -337,9 +337,9 @@ func (b *builder) buildV6() {
 	for _, asn := range in.Order {
 		a := in.ASes[asn]
 		switch a.Tier {
-		case topology.Tier1:
+		case Tier1:
 			a.IPv6 = true
-		case topology.Tier2:
+		case Tier2:
 			a.IPv6 = b.rng.Float64() < b.cfg.V6TransitProb
 		default:
 			a.IPv6 = b.rng.Float64() < b.cfg.V6StubProb
@@ -387,7 +387,7 @@ func (b *builder) buildV6() {
 		}
 		// The tier-1 clique was fully dual-stacked by 2010 (the dispute
 		// pair excepted, handled above).
-		if in.ASes[k.Lo].Tier == topology.Tier1 && in.ASes[k.Hi].Tier == topology.Tier1 {
+		if in.ASes[k.Lo].Tier == Tier1 && in.ASes[k.Hi].Tier == Tier1 {
 			in.Graph6.AddLink(k.Lo, k.Hi)
 			in.Truth6.SetKey(k, in.Truth4.GetKey(k))
 			continue
@@ -428,7 +428,7 @@ func (b *builder) buildV6() {
 	// transit AS. The hub is exempt: it is transit-free by design.
 	for _, asn := range in.Order {
 		a := in.ASes[asn]
-		if !a.IPv6 || a.Tier == topology.Tier1 || asn == hub {
+		if !a.IPv6 || a.Tier == Tier1 || asn == hub {
 			continue
 		}
 		if len(in.related(asrel.IPv6, asn, asrel.C2P)) > 0 {
@@ -535,7 +535,7 @@ func (b *builder) plantHybrids() {
 		case asrel.P2P:
 			// Tier-1s do not take transit from each other in any plane:
 			// the clique stays settlement-free.
-			if in.ASes[k.Lo].Tier == topology.Tier1 && in.ASes[k.Hi].Tier == topology.Tier1 {
+			if in.ASes[k.Lo].Tier == Tier1 && in.ASes[k.Hi].Tier == Tier1 {
 				continue
 			}
 			peers = append(peers, k)
@@ -559,7 +559,7 @@ func (b *builder) plantHybrids() {
 	// diameter drop.
 	top := func(a asrel.ASN) bool {
 		as := in.ASes[a]
-		return as.Tier == topology.Tier1 || as.Layer == 1
+		return as.Tier == Tier1 || as.Layer == 1
 	}
 	weightH2 := func(k asrel.LinkKey) float64 {
 		w := weight(k)
@@ -641,7 +641,7 @@ func (b *builder) plantHybrids() {
 		if in.Truth4.GetKey(k) == asrel.C2P { // Hi is the provider
 			prov, cust = k.Hi, k.Lo
 		}
-		if in.ASes[prov].Tier == topology.Tier1 {
+		if in.ASes[prov].Tier == Tier1 {
 			return false
 		}
 		return len(in.related(asrel.IPv6, cust, asrel.C2P)) > 1

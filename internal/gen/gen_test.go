@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hybridrel/internal/asrel"
-	"hybridrel/internal/topology"
 )
 
 func buildSmall(t *testing.T) *Internet {
@@ -106,7 +105,7 @@ func TestProvidersExist(t *testing.T) {
 	in := buildSmall(t)
 	for _, asn := range in.Order {
 		a := in.ASes[asn]
-		if a.Tier == topology.Tier1 {
+		if a.Tier == Tier1 {
 			continue
 		}
 		if len(in.related(asrel.IPv4, asn, asrel.C2P)) == 0 {

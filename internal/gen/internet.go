@@ -8,11 +8,26 @@ import (
 	"hybridrel/internal/topology"
 )
 
+// Tier is an AS's generated position in the customer-provider
+// hierarchy.
+type Tier uint8
+
+// Tier values, from the top of the hierarchy down. The zero value is
+// unassigned.
+const (
+	// Tier1: transit-free — customers but no providers.
+	Tier1 Tier = iota + 1
+	// Tier2: both providers and customers (a transit network).
+	Tier2
+	// TierStub: providers or peers only, no customers.
+	TierStub
+)
+
 // AS is one synthetic autonomous system with its ground-truth role and
 // its routing policies.
 type AS struct {
 	ASN  asrel.ASN
-	Tier topology.Tier
+	Tier Tier
 	// Layer refines Tier2 into the transit hierarchy: 1 = national
 	// carrier (buys from tier-1), 2 = regional (buys from layer 1),
 	// 3 = access network (buys from layer 2). Zero for tier-1s and

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"hybridrel/internal/asrel"
-	"hybridrel/internal/topology"
 )
 
 // assignLeaks installs the two classes of route-leak rules in the IPv6
@@ -29,7 +28,7 @@ func (b *builder) assignLeaks() {
 	var cands []asrel.ASN
 	for _, t := range b.transits {
 		a := in.ASes[t]
-		if !a.IPv6 || a.Tier == topology.Tier1 {
+		if !a.IPv6 || a.Tier == Tier1 {
 			continue
 		}
 		up := append(in.related(asrel.IPv6, t, asrel.C2P), in.related(asrel.IPv6, t, asrel.P2P)...)
@@ -57,7 +56,7 @@ func (b *builder) findOrMakeRelaxers() []asrel.ASN {
 	var out []asrel.ASN
 	for _, t := range b.transits {
 		a := in.ASes[t]
-		if !a.IPv6 || a.Tier == topology.Tier1 {
+		if !a.IPv6 || a.Tier == Tier1 {
 			continue
 		}
 		if in.Truth6.Get(t, in.DisputeA) == asrel.C2P && in.Truth6.Get(t, in.DisputeB) == asrel.C2P {
@@ -74,7 +73,7 @@ func (b *builder) findOrMakeRelaxers() []asrel.ASN {
 			break
 		}
 		a := in.ASes[t]
-		if !a.IPv6 || a.Tier == topology.Tier1 {
+		if !a.IPv6 || a.Tier == Tier1 {
 			continue
 		}
 		already := false
@@ -117,12 +116,12 @@ func (b *builder) assignPolicies() {
 		a := in.ASes[asn]
 		p := &a.Policy
 		adopt := b.cfg.CommunityAdoptStub
-		if a.Tier != topology.TierStub {
+		if a.Tier != TierStub {
 			adopt = b.cfg.CommunityAdoptTransit
 		}
 		p.DefinesCommunities = b.rng.Float64() < adopt
 		p.Documented = p.DefinesCommunities && b.rng.Float64() < b.cfg.IRRDocumentedProb
-		p.Strips = a.Tier == topology.Tier2 && b.rng.Float64() < b.cfg.CommunityStripProb
+		p.Strips = a.Tier == Tier2 && b.rng.Float64() < b.cfg.CommunityStripProb
 		p.Dialect = b.rng.Intn(3)
 
 		base := []uint16{100, 500, 1000, 2000, 3000}[b.rng.Intn(5)]
@@ -209,9 +208,9 @@ func (b *builder) pickVantages() {
 		}
 		cands = append(cands, asn)
 		w := 1.0
-		if a.Tier == topology.Tier2 {
+		if a.Tier == Tier2 {
 			w = 4.0
-		} else if a.Tier == topology.Tier1 {
+		} else if a.Tier == Tier1 {
 			w = 2.0
 		}
 		weights = append(weights, w)

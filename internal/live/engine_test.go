@@ -2,7 +2,9 @@ package live_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
+	"time"
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/bgp"
@@ -189,5 +191,67 @@ func TestResolveAllocsAfterFlap(t *testing.T) {
 	t.Logf("flap + resolve: %.0f allocs; vantage %s has %d eligible routes", allocs, v, len(mine))
 	if allocs > bound {
 		t.Errorf("flap + resolve allocates %.0f times, bound %d (vantage has %d eligible routes)", allocs, bound, len(mine))
+	}
+}
+
+// liveMinSpeedup is how much faster an incremental resolve after a
+// small flap must be than a full recompute of the same state.
+const liveMinSpeedup = 5.0
+
+// TestIncrementalResolveBeatsRecompute holds the incremental path to
+// its reason to exist. Two appliers converge on the tunnel-heavy world
+// at the default dirty threshold; each round flaps the same two IPv4
+// routes on both (withdraw, re-announce) and brings one up to date
+// with Resolve, the other with Recompute. Rounds alternate the two so
+// drift on the host lands on both, and each side keeps its fastest
+// round. Every timed Resolve must take the incremental path, and be at
+// least liveMinSpeedup times faster than the recompute.
+func TestIncrementalResolveBeatsRecompute(t *testing.T) {
+	sc, err := scenario.Find("tunnel-heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, dict := buildWorld(t, sc.Config(scenario.TierShort))
+	feed, err := bgpsim.GenerateFeed(in, bgpsim.FeedConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flaps []bgpsim.FeedEvent
+	for i := 0; i < feed.NumRoutes() && len(flaps) < 4; i++ {
+		if feed.Announce(i).AF == asrel.IPv4 {
+			flaps = append(flaps, feed.Withdraw(i), feed.Announce(i))
+		}
+	}
+	cfg := live.Config{Dict: dict, DirtyThreshold: -1}
+	inc, full := applyFeed(t, feed, cfg), applyFeed(t, feed, cfg)
+	inc.Resolve()
+	full.Resolve()
+	timeFlap := func(ap *live.Applier, bringUp func()) time.Duration {
+		start := time.Now()
+		for _, ev := range flaps {
+			if err := ap.Apply(live.Event{Vantage: ev.Vantage, Data: ev.Data}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bringUp()
+		return time.Since(start)
+	}
+
+	const rounds = 15
+	inc0, full0 := inc.Resolves()
+	bestInc, bestFull := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for r := 0; r < rounds; r++ {
+		bestInc = min(bestInc, timeFlap(inc, inc.Resolve))
+		bestFull = min(bestFull, timeFlap(full, full.Recompute))
+	}
+	if i, f := inc.Resolves(); i-inc0 != rounds || f != full0 {
+		t.Fatalf("%d flaps took the incremental path %d times and recomputed %d times; want every one incremental",
+			rounds, i-inc0, f-full0)
+	}
+	speedup := float64(bestFull) / float64(bestInc)
+	t.Logf("flap + Resolve %v, flap + Recompute %v (%.0fx)", bestInc, bestFull, speedup)
+	if speedup < liveMinSpeedup {
+		t.Errorf("incremental resolve is only %.1fx faster than a full recompute (%v vs %v); want at least %.0fx",
+			speedup, bestInc, bestFull, liveMinSpeedup)
 	}
 }

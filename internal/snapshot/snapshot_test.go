@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -113,6 +114,38 @@ func TestCompressionActuallyShrinks(t *testing.T) {
 	}
 	if gz.Len() >= raw.Len() {
 		t.Errorf("gzip did not shrink the payload: %d >= %d", gz.Len(), raw.Len())
+	}
+}
+
+// TestCodecAllocs pins the allocation counts of the v1 codec on the
+// fixture snapshot, uncompressed so the codec is measured rather than
+// gzip. Both sides allocate a fixed set of buffers and headers, and
+// Read one slice per decoded section, so the counts do not grow with
+// the snapshot: a per-link allocation on either side exceeds its pin
+// by thousands.
+func TestCodecAllocs(t *testing.T) {
+	const encodePin, readPin = 9, 20
+	s := Capture(analysis(t))
+	var buf bytes.Buffer
+	if err := Encode(&buf, s, false); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	enc := testing.AllocsPerRun(20, func() {
+		if err := Encode(io.Discard, s, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	dec := testing.AllocsPerRun(20, func() {
+		if _, err := Read(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if enc > encodePin {
+		t.Errorf("Encode allocates %.0f objects, pinned at %d", enc, encodePin)
+	}
+	if dec > readPin {
+		t.Errorf("Read allocates %.0f objects, pinned at %d", dec, readPin)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package topology provides the AS-level graph substrate: an undirected
 // multigraph of AS adjacencies with relationship-aware operations —
-// degrees per role, customer cones, plain BFS, connected components, and
-// shortest *valley-free* path computations on a two-state product graph.
+// customer cones, plain BFS, and shortest *valley-free* path
+// computations on a two-state product graph.
 //
 // A Graph holds only adjacency; relationships live in an intern.Table so
 // the same physical topology can be annotated differently per address
@@ -109,56 +109,6 @@ func (g *Graph) Neighbors(a asrel.ASN) []asrel.ASN { return g.adj[a] }
 // Degree returns the number of neighbors of a.
 func (g *Graph) Degree(a asrel.ASN) int { return len(g.adj[a]) }
 
-// Customers returns the neighbors of a annotated as customers of a in t.
-func (g *Graph) Customers(t *intern.Table, a asrel.ASN) []asrel.ASN {
-	return g.withRel(t, a, asrel.P2C)
-}
-
-// Providers returns the neighbors of a annotated as providers of a in t.
-func (g *Graph) Providers(t *intern.Table, a asrel.ASN) []asrel.ASN {
-	return g.withRel(t, a, asrel.C2P)
-}
-
-// Peers returns the neighbors of a annotated as peers of a in t.
-func (g *Graph) Peers(t *intern.Table, a asrel.ASN) []asrel.ASN {
-	return g.withRel(t, a, asrel.P2P)
-}
-
-func (g *Graph) withRel(t *intern.Table, a asrel.ASN, want asrel.Rel) []asrel.ASN {
-	var out []asrel.ASN
-	for _, n := range g.adj[a] {
-		if t.Get(a, n) == want {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// CustomerDegree returns the number of customer links of a under t.
-func (g *Graph) CustomerDegree(t *intern.Table, a asrel.ASN) int {
-	return g.countRel(t, a, asrel.P2C)
-}
-
-// ProviderDegree returns the number of provider links of a under t.
-func (g *Graph) ProviderDegree(t *intern.Table, a asrel.ASN) int {
-	return g.countRel(t, a, asrel.C2P)
-}
-
-// PeerDegree returns the number of peering links of a under t.
-func (g *Graph) PeerDegree(t *intern.Table, a asrel.ASN) int {
-	return g.countRel(t, a, asrel.P2P)
-}
-
-func (g *Graph) countRel(t *intern.Table, a asrel.ASN, want asrel.Rel) int {
-	n := 0
-	for _, nb := range g.adj[a] {
-		if t.Get(a, nb) == want {
-			n++
-		}
-	}
-	return n
-}
-
 // CustomerCone returns the set of ASes reachable from root by repeatedly
 // descending p2c links (the "customer tree" of the paper's Figure 1),
 // excluding the root itself. The walk runs on the frozen CSR index with
@@ -186,96 +136,6 @@ func (g *Graph) CustomerCone(t *intern.Table, root asrel.ASN) map[asrel.ASN]bool
 		}
 	}
 	return cone
-}
-
-// Tier is a coarse position of an AS in the customer-provider hierarchy.
-type Tier uint8
-
-// Tier values, from the top of the hierarchy down.
-const (
-	// TierUnknown: the AS has no classified transit links at all.
-	TierUnknown Tier = iota
-	// Tier1: transit-free — customers but no providers.
-	Tier1
-	// Tier2: both providers and customers (a transit network).
-	Tier2
-	// TierStub: providers or peers only, no customers.
-	TierStub
-)
-
-// String names the tier as used in reports.
-func (t Tier) String() string {
-	switch t {
-	case Tier1:
-		return "tier-1"
-	case Tier2:
-		return "tier-2"
-	case TierStub:
-		return "stub"
-	default:
-		return "unclassified"
-	}
-}
-
-// TierOf classifies a single AS under the relationship table t.
-func (g *Graph) TierOf(t *intern.Table, a asrel.ASN) Tier {
-	cust := g.CustomerDegree(t, a)
-	prov := g.ProviderDegree(t, a)
-	peer := g.PeerDegree(t, a)
-	switch {
-	case cust > 0 && prov == 0:
-		return Tier1
-	case cust > 0:
-		return Tier2
-	case prov > 0 || peer > 0:
-		return TierStub
-	default:
-		return TierUnknown
-	}
-}
-
-// Components returns the connected components of the graph, each sorted
-// by ASN, largest component first (ties broken by smallest member). The
-// sweep runs on the frozen CSR with an int32 queue and a visited
-// bitmap; BFS discovers members in frontier order, so the per-component
-// sort below is load-bearing.
-func (g *Graph) Components() [][]asrel.ASN {
-	c := g.freeze()
-	n := c.NumNodes()
-	seen := make([]bool, n)
-	queue := make([]int32, 0, 64)
-	var comps [][]asrel.ASN
-	for start := int32(0); int(start) < n; start++ {
-		if seen[start] {
-			continue
-		}
-		var members []int32
-		queue = append(queue[:0], start)
-		seen[start] = true
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			members = append(members, u)
-			for _, v := range c.Neighbors(u) {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		comp := make([]asrel.ASN, len(members))
-		for i, u := range members {
-			comp[i] = c.ASNs[u]
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
-	}
-	sort.SliceStable(comps, func(i, j int) bool {
-		if len(comps[i]) != len(comps[j]) {
-			return len(comps[i]) > len(comps[j])
-		}
-		return comps[i][0] < comps[j][0]
-	})
-	return comps
 }
 
 // BFSDist returns hop distances from src to every reachable AS ignoring

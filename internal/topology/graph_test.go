@@ -77,51 +77,6 @@ func TestLinkKeysSorted(t *testing.T) {
 	}
 }
 
-func TestRoleQueries(t *testing.T) {
-	g, tb := chainGraph()
-	if got := g.Customers(tb, 1); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Customers(1) = %v, want [2]", got)
-	}
-	if got := g.Providers(tb, 3); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Providers(3) = %v, want [2]", got)
-	}
-	if got := g.Peers(tb, 1); len(got) != 1 || got[0] != 4 {
-		t.Errorf("Peers(1) = %v, want [4]", got)
-	}
-	if g.CustomerDegree(tb, 1) != 1 || g.ProviderDegree(tb, 1) != 0 || g.PeerDegree(tb, 1) != 1 {
-		t.Error("degree counts wrong for AS1")
-	}
-	if g.CustomerDegree(tb, 3) != 0 || g.ProviderDegree(tb, 3) != 1 {
-		t.Error("degree counts wrong for AS3")
-	}
-}
-
-func TestTierOf(t *testing.T) {
-	g, tb := chainGraph()
-	cases := []struct {
-		as   asrel.ASN
-		want Tier
-	}{
-		{1, Tier1}, {4, Tier1}, {2, Tier2}, {3, TierStub}, {5, TierStub},
-	}
-	for _, c := range cases {
-		if got := g.TierOf(tb, c.as); got != c.want {
-			t.Errorf("TierOf(%s) = %s, want %s", c.as, got, c.want)
-		}
-	}
-	// An AS with only unknown links is unclassified.
-	g2 := New()
-	g2.AddLink(7, 8)
-	if g2.TierOf(new(intern.Table), 7) != TierUnknown {
-		t.Error("unannotated AS not TierUnknown")
-	}
-	for _, tier := range []Tier{Tier1, Tier2, TierStub, TierUnknown} {
-		if tier.String() == "" {
-			t.Error("Tier.String empty")
-		}
-	}
-}
-
 func TestCustomerCone(t *testing.T) {
 	g, tb := chainGraph()
 	cone := g.CustomerCone(tb, 1)
@@ -146,27 +101,6 @@ func TestCustomerCone(t *testing.T) {
 	}
 	if len(cone2) != 2 {
 		t.Errorf("cycle cone = %v, want {2,3}", cone2)
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := New()
-	g.AddLink(1, 2)
-	g.AddLink(2, 3)
-	g.AddLink(10, 11)
-	g.AddNode(99)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
-	if len(comps[0]) != 3 || comps[0][0] != 1 {
-		t.Errorf("largest component = %v", comps[0])
-	}
-	if len(comps[1]) != 2 || comps[1][0] != 10 {
-		t.Errorf("second component = %v", comps[1])
-	}
-	if len(comps[2]) != 1 || comps[2][0] != 99 {
-		t.Errorf("isolated component = %v", comps[2])
 	}
 }
 
