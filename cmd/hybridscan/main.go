@@ -10,7 +10,7 @@
 //
 // Results can leave the process in machine form: -export writes the
 // versioned binary snapshot cmd/hybridserve serves, -export-v2 writes
-// the fixed-width format-v2 artifact hybridserve -mmap maps in place,
+// the fixed-width artifact (format v3) hybridserve -mmap maps in place,
 // and -json prints the same structs the serving API returns, so the
 // batch and serving schemas stay in sync.
 //
@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parallel = fs.Int("parallel", 0, "pipeline workers (0 = all cores)")
 		progress = fs.Bool("progress", false, "log pipeline progress to stderr")
 		export   = fs.String("export", "", "write the analysis snapshot to this file")
-		exportV2 = fs.String("export-v2", "", "write the snapshot in format v2 (fixed-width, mmap-servable via hybridserve -mmap) to this file")
+		exportV2 = fs.String("export-v2", "", "write the snapshot in the fixed-width format, v3 (mmap-servable via hybridserve -mmap, serving index included), to this file")
 		jsonOut  = fs.Bool("json", false, "print machine-readable JSON instead of tables")
 	)
 	if err := cli.Parse(fs, args); err != nil {
@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		if !*jsonOut {
-			fmt.Fprintf(stdout, "format-v2 snapshot exported to %s\n\n", *exportV2)
+			fmt.Fprintf(stdout, "fixed-width snapshot exported to %s\n\n", *exportV2)
 		}
 	}
 

@@ -555,7 +555,7 @@ func TestLiveMRTChangesEndToEnd(t *testing.T) {
 var servingAddrRE = regexp.MustCompile(`serving on http://(\S+) `)
 
 // TestMmapServeEndToEnd boots run() with -snapshot -mmap against a real
-// format-v2 artifact: readiness flips once the mapped snapshot is
+// fixed-width artifact: readiness flips once the mapped snapshot is
 // installed, data endpoints answer from the aliased tables, POST
 // /v1/reload remaps the file and retires the old mapping, and shutdown
 // is clean.

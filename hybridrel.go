@@ -272,17 +272,18 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) { return snapshot.Read(r) }
 // OpenSnapshot reads a snapshot file.
 func OpenSnapshot(path string) (*Snapshot, error) { return snapshot.Open(path) }
 
-// WriteSnapshotFileV2 writes a's snapshot to path atomically in format
-// version 2: fixed-width little-endian sections that MapSnapshot can
-// serve in place without a decode pass. OpenSnapshot reads both
+// WriteSnapshotFileV2 writes a's snapshot to path atomically in the
+// fixed-width format, version 3: little-endian sections, the serving
+// index and per-section CRC-32C checksums, which MapSnapshot can serve
+// in place without a decode pass. OpenSnapshot reads both
 // formats; version-1 consumers need WriteSnapshotFile.
 func WriteSnapshotFileV2(path string, a *Analysis) error {
 	return snapshot.WriteFileV2(path, snapshot.Capture(a))
 }
 
-// MapSnapshot memory-maps a format-v2 snapshot file and serves its
-// tables in place: load time is independent of snapshot size and the
-// resident set is only the pages queries actually touch. The caller
+// MapSnapshot memory-maps a fixed-width (v2 or v3) snapshot file and
+// serves its tables in place: load time is independent of snapshot
+// size and the resident set is only the pages queries actually touch. The caller
 // must Close the snapshot when done with it; a Server given a mapped
 // snapshot handles that across hot reloads. Version-1 files cannot be
 // mapped — re-export them with WriteSnapshotFileV2.

@@ -56,13 +56,20 @@ func Small() Numbers {
 }
 
 // SmallSnapshotV2FNV is the FNV-64a hash of the canonical small
-// world's snapshot in format v2 (snapshot.EncodeV2 over
+// world's snapshot in format v2 (the version-2 encoder over
 // snapshot.Capture of the Small analysis). The headline numbers above
 // are aggregates; this pins every byte a server would load — each
 // relationship of both planes, each link's visibility, the hybrid
 // list — so a refactor that keeps the counts but moves one answer
 // shows up here.
 const SmallSnapshotV2FNV uint64 = 0xbb827e2f072a0f6f
+
+// SmallSnapshotV3FNV is the FNV-64a hash of the same snapshot in
+// format v3 (what snapshot.EncodeV2 writes now): the v2 sections plus
+// the serving index and per-section checksums. The v2 bytes stay
+// pinned by SmallSnapshotV2FNV through the committed
+// internal/snapshot/testdata/small.snap2.
+const SmallSnapshotV3FNV uint64 = 0x06118dd2687e0678
 
 // AssertSmall fails the test wherever the analysis of the
 // canonical small world disagrees with the pinned headline numbers.

@@ -636,7 +636,7 @@ func ratio(num, den int) float64 {
 	return float64(num) / float64(den)
 }
 
-// Fingerprint hashes the snapshot's canonical format-v2 encoding
+// Fingerprint hashes the snapshot's canonical fixed-width encoding
 // (FNV-1a, streamed — no buffer). Two snapshots fingerprint equal iff
 // they are byte-identical on the wire, which is how the determinism
 // gate compares Parallelism=1 against Parallelism=N.

@@ -4,22 +4,24 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/obs"
+	"hybridrel/internal/snapshot"
 )
 
-// TestLookupAllocs pins the per-request lookup path — the serve-side
-// //hybridrel:hotpath functions — at zero allocations per operation.
-// hybridlint's hotalloc analyzer forbids the allocating constructs
-// statically; this is the dynamic backstop that catches anything the
-// static check cannot see (interface boxing, escape-analysis
-// regressions).
+// TestLookupAllocs pins the per-request lookup path — the index and
+// link probes the handlers call, all //hybridrel:hotpath — at zero
+// allocations per operation. hybridlint's hotalloc analyzer forbids the
+// allocating constructs statically; this is the dynamic backstop that
+// catches anything the static check cannot see (interface boxing,
+// escape-analysis regressions).
 func TestLookupAllocs(t *testing.T) {
 	_, snap, _ := fixtures(t)
-	st := buildState(snap)
+	st := newState(snap)
 	if len(snap.Links4) == 0 || len(snap.Hybrids) == 0 {
 		t.Fatal("fixture world has no links/hybrids")
 	}
@@ -32,12 +34,14 @@ func TestLookupAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"lookupLink/hit", func() { lookupLink(st.link4, st.snap.Links4, present) }},
-		{"lookupLink/miss", func() { lookupLink(st.link4, st.snap.Links4, missing) }},
-		{"lookupAS/hit", func() { st.lookupAS(asn) }},
-		{"lookupAS/miss", func() { st.lookupAS(asrel.ASN(4200000000)) }},
-		{"lookupHybrid/hit", func() { st.lookupHybrid(hybrid) }},
-		{"lookupHybrid/miss", func() { st.lookupHybrid(missing) }},
+		{"LookupLink/hit", func() { snapshot.LookupLink(st.snap.Links4, present) }},
+		{"LookupLink/miss", func() { snapshot.LookupLink(st.snap.Links4, missing) }},
+		{"LookupAS/hit", func() { i, _ := st.idx.LookupAS(asn); st.idx.Neighbors(i) }},
+		{"LookupAS/miss", func() { st.idx.LookupAS(asrel.ASN(4200000000)) }},
+		{"Link/hit", func() { st.idx.Link(present.Lo, present.Hi) }},
+		{"Link/miss", func() { st.idx.Link(missing.Lo, missing.Hi) }},
+		{"Link/hybrid", func() { st.idx.Link(hybrid.Hi, hybrid.Lo) }},
+		{"ClassHybrids", func() { st.idx.ClassHybrids(snap.Hybrids[0].Class) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(200, tc.fn); n != 0 {
@@ -105,5 +109,28 @@ func TestInstrumentedAllocBudget(t *testing.T) {
 			t.Errorf("GET %s: instrumented server allocates %.0f objects/request, bare %.0f; budget is bare + %d",
 				tc.url, f, b, instrumentedAllocBudget)
 		}
+	}
+}
+
+// TestQueryValueMatchesParseQuery holds queryValue to url.Values.Get
+// semantics over the corner cases of url.ParseQuery: repeated keys,
+// escapes, semicolons, empty pairs, bad escapes in keys and values.
+func TestQueryValueMatchesParseQuery(t *testing.T) {
+	raws := []string{
+		"", "a=1&b=2", "b=2&a=1&a=3", "a", "a=", "=1&a=2", "&&a=1&", "a=1;b=2&a=3",
+		"a%3D=1&a=2", "%61=4", "a=%zz&a=5", "a%zz=1&a=6", "a=x+y%20z", "a+b=1&a b=2",
+		"at=2026-01-02T03:04:05Z", "at=2026-01-02T03%3A04%3A05%2B01%3A00", "class=h1&class=h2",
+		"offset=-1&limit=1e3", "a=1&a=2;", ";&a=7",
+	}
+	for _, raw := range raws {
+		want, _ := url.ParseQuery(raw)
+		for _, key := range []string{"a", "b", "a b", "at", "class", "offset", "limit", ""} {
+			if got := queryValue(raw, key); got != want.Get(key) {
+				t.Errorf("queryValue(%q, %q) = %q, want %q", raw, key, got, want.Get(key))
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { queryValue("a=64500&b=64501&at=17", "b") }); n != 0 {
+		t.Errorf("queryValue allocates %v objects on an unescaped query, want 0", n)
 	}
 }

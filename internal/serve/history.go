@@ -78,9 +78,9 @@ func (j *changeJournal) append(gen uint64, cs []snapshot.Change) {
 	}
 }
 
-// WithHistory keeps a ring of the last n installed snapshots (indexed
-// states, really — time-travel answers reuse the same precomputed
-// indexes as live queries) and enables ?at= time-travel on the read
+// WithHistory keeps a ring of the last n installed snapshots (their
+// states, really — time-travel answers use the same snapshot index
+// views as live queries) and enables ?at= time-travel on the read
 // endpoints. n <= 0 disables history, the default.
 func WithHistory(n int) Option {
 	return func(s *Server) {
@@ -130,7 +130,7 @@ func parseAtTime(v string) (time.Time, error) {
 // reference the caller must release. On failure it writes the error
 // response and returns nil.
 func (s *Server) stateAt(w http.ResponseWriter, r *http.Request) *state {
-	v := r.URL.Query().Get("at")
+	v := queryValue(r.URL.RawQuery, "at")
 	if v == "" {
 		return s.loadedState(w)
 	}

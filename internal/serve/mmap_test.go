@@ -5,7 +5,7 @@ package serve
 // exactly when a retired state's backing is released: never while the
 // installed pointer, a history-ring slot, or an in-flight request
 // still holds it, and immediately when the last holder lets go. The
-// swap-under-load test exercises the real thing — format-v2 files
+// swap-under-load test exercises the real thing — fixed-width files
 // served through snapshot.Map, hammered by concurrent readers while a
 // reloader maps fresh copies — and must produce zero non-200s and no
 // SIGBUS under -race: a mapping unmapped while a request reads it
@@ -109,7 +109,7 @@ func TestStateRefcountLifecycle(t *testing.T) {
 }
 
 // TestMmapHotSwapUnderLoad is the satellite contract for -mmap serving:
-// concurrent readers against a mapped format-v2 snapshot, racing a
+// concurrent readers against a mapped fixed-width snapshot, racing a
 // reloader that repeatedly maps fresh files, observe zero non-200s —
 // and, because the readers' answers come straight out of the mapped
 // pages, any premature munmap would kill the process with SIGBUS/SEGV

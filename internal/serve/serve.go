@@ -2,16 +2,21 @@
 // indexed lookups: per-link relationship queries, per-AS adjacency
 // views, the paginated hybrid list, and the headline statistics.
 //
-// All per-AS and per-link indexes are computed once when a snapshot is
-// installed; request handlers only perform O(1) map lookups (O(degree)
-// for the per-AS view). The installed state lives behind an
-// atomic.Pointer, so queries are lock-free and a hot reload — POST
-// /v1/reload or SIGHUP in cmd/hybridserve — swaps the whole indexed
-// state in one atomic store: in-flight requests finish against the
-// snapshot they started with and zero requests are dropped. States are
-// reference-counted, so a retired mmap-backed snapshot (snapshot.Map)
-// is unmapped only after the last in-flight request and history-ring
-// slot releases it.
+// The per-AS and per-hybrid indexes are the snapshot's own serving
+// index (snapshot.Index): a mapped format-v3 artifact carries it in
+// the file, so installing one does no index work, and any other
+// snapshot builds it once, on install. Request handlers do binary
+// searches over the snapshot's sorted sections and the index — per-link
+// probes in O(log E), the per-AS view in O(log V + degree · log E) —
+// and every index read is bounds-checked, so a corrupt mapped index
+// gives wrong answers or 404s, never a panic. The installed state
+// lives behind an atomic.Pointer, so queries are lock-free and a hot
+// reload — POST /v1/reload or SIGHUP in cmd/hybridserve — swaps the
+// whole state in one atomic store: in-flight requests finish against
+// the snapshot they started with and zero requests are dropped. States
+// are reference-counted, so a retired mmap-backed snapshot
+// (snapshot.Map) is unmapped only after the last in-flight request and
+// history-ring slot releases it.
 //
 // Endpoints:
 //
@@ -45,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -53,7 +57,6 @@ import (
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/core"
-	"hybridrel/internal/intern"
 	"hybridrel/internal/obs"
 	"hybridrel/internal/snapshot"
 )
@@ -272,13 +275,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Load indexes snap and atomically installs it. In-flight requests
-// keep reading the state they started with. Each install also diffs
-// the outgoing snapshot's relationship tables against the incoming
-// ones into the change journal (served on /v1/changes), and — with
-// WithHistory — pushes the new state onto the time-travel ring.
+// Load atomically installs snap. A mapped v3 snapshot installs in
+// O(1); one without a stored index builds it first, outside the lock.
+// In-flight requests keep reading the state they started with. Each
+// install also diffs the outgoing snapshot's relationship tables
+// against the incoming ones into the change journal (served on
+// /v1/changes), and — with WithHistory — pushes the new state onto the
+// time-travel ring.
 func (s *Server) Load(snap *snapshot.Snapshot) {
-	st := buildState(snap) // the expensive part, outside the lock
+	st := newState(snap) // builds the index of a snapshot without one, outside the lock
 	s.histMu.Lock()
 	prev := s.state.Load()
 	st.generation = s.generation.Add(1)
@@ -333,7 +338,7 @@ func (s *Server) Summary() (asns, links4, links6, hybrids int, ok bool) {
 		return 0, 0, 0, 0, false
 	}
 	defer st.release()
-	return len(st.asns), len(st.snap.Links4), len(st.snap.Links6), len(st.snap.Hybrids), true
+	return st.idx.NumASes(), len(st.snap.Links4), len(st.snap.Links6), len(st.snap.Hybrids), true
 }
 
 // Reload runs the configured source and installs its snapshot. It is
@@ -379,16 +384,17 @@ func (s *Server) Reload(ctx context.Context) error {
 	}
 }
 
-// state is one immutable indexed snapshot. Everything a handler needs
-// is precomputed here, at load time, exactly once — as flat sorted
-// arrays in CSR layout rather than maps of pointers: the per-AS index
-// is one shared neighbor array sliced by offsets, link lookups are
-// binary searches over the snapshot's already-sorted link sets, and
-// the hybrid-by-key index is a sorted permutation of the hybrid list.
-// Load-time allocation is a handful of arrays instead of hundreds of
-// thousands of map cells.
+// state is one installed snapshot: views over the snapshot and its
+// serving index, plus what a handler stamps onto responses. Nothing
+// here is derived from the link sets at install time. A mapped v3
+// snapshot carries its index in the file, so installing it costs
+// O(1); any other snapshot builds its index once, inside
+// snapshot.Index. Every index read is bounds-checked in
+// internal/snapshot, so a corrupt mapped index yields wrong answers or
+// 404s, never a panic.
 type state struct {
 	snap *snapshot.Snapshot
+	idx  *snapshot.Index
 
 	// refs counts the holders keeping this state alive: the installed
 	// atomic pointer, each history-ring slot, and each in-flight request
@@ -399,87 +405,20 @@ type state struct {
 	// no-op and the whole scheme degenerates to plain GC.
 	refs atomic.Int64
 
-	// asns / entries are the per-AS index: entry i describes asns[i],
-	// ascending. Each entry's neighbor and hybrid runs are sub-slices
-	// of one shared backing array.
-	asns    []asrel.ASN
-	entries []asEntry
-	// link4 / link6 are the packed keys of snap.Links4 / snap.Links6,
-	// element for element, so a per-link probe is one binary search
-	// over a contiguous uint64 array.
-	link4, link6 []uint64
-	// hybByKey lists indexes into snap.Hybrids ordered by canonical
-	// link key; hybKeys holds the corresponding packed keys, parallel.
-	hybByKey []int32
-	hybKeys  []uint64
-	// byClass holds, per hybrid class, the indexes into snap.Hybrids in
-	// list (visibility) order, so filtered pagination is a slice.
-	byClass [asrel.HybridOther + 1][]int32
-
 	stats      StatsResponse
 	loadedAt   time.Time
 	generation uint64
 }
 
-// asEntry is one AS's precomputed adjacency.
-type asEntry struct {
-	// neighbors is sorted ascending by ASN (a sub-slice of the shared
-	// neighbor array).
-	neighbors  []neighborRef
-	deg4, deg6 int
-	// hybrids indexes into snap.Hybrids in list order (a sub-slice of
-	// the shared hybrid-membership array).
-	hybrids []int32
-}
-
-type neighborRef struct {
-	asn      asrel.ASN
-	in4, in6 bool
-}
-
-// packKeys extracts the packed canonical keys of a link set, element
-// for element.
-func packKeys(ls []snapshot.Link) []uint64 {
-	out := make([]uint64, len(ls))
-	for i, l := range ls {
-		out[i] = intern.Pack(l.Key)
+func newState(snap *snapshot.Snapshot) *state {
+	st := &state{
+		snap:     snap,
+		idx:      snap.Index(),
+		stats:    StatsOf(snap),
+		loadedAt: time.Now().UTC(),
 	}
-	return out
-}
-
-// lookupLink binary-searches a packed key array (sorted, parallel to
-// its snapshot link set) for k.
-//
-//hybridrel:hotpath
-func lookupLink(keys []uint64, ls []snapshot.Link, k asrel.LinkKey) (vis int, ok bool) {
-	i, found := slices.BinarySearch(keys, intern.Pack(k))
-	if !found {
-		return 0, false
-	}
-	return ls[i].Visibility, true
-}
-
-// lookupAS returns the per-AS entry of asn.
-//
-//hybridrel:hotpath
-func (st *state) lookupAS(asn asrel.ASN) (*asEntry, bool) {
-	i, found := slices.BinarySearch(st.asns, asn)
-	if !found {
-		return nil, false
-	}
-	return &st.entries[i], true
-}
-
-// lookupHybrid returns the index into snap.Hybrids of the hybrid link
-// k, if any.
-//
-//hybridrel:hotpath
-func (st *state) lookupHybrid(k asrel.LinkKey) (int, bool) {
-	i, found := slices.BinarySearch(st.hybKeys, intern.Pack(k))
-	if !found {
-		return 0, false
-	}
-	return int(st.hybByKey[i]), true
+	st.refs.Store(1) // the installed-pointer reference, dropped by the next Load
+	return st
 }
 
 // retain takes a request reference if the state is still alive. It
@@ -539,141 +478,6 @@ func (s *Server) acquireState() *state {
 	}
 }
 
-func buildState(snap *snapshot.Snapshot) *state {
-	st := &state{
-		snap:     snap,
-		link4:    packKeys(snap.Links4),
-		link6:    packKeys(snap.Links6),
-		stats:    StatsOf(snap),
-		loadedAt: time.Now().UTC(),
-	}
-	st.refs.Store(1) // the installed-pointer reference, dropped by the next Load
-
-	// Directed edge list: two per undirected link per plane, packed so
-	// one sort groups them by (src, dst) and dual-stack duplicates sit
-	// adjacent for the merge below.
-	type dirEdge struct {
-		key uint64 // src<<32 | dst
-		in6 bool
-	}
-	edges := make([]dirEdge, 0, 2*(len(snap.Links4)+len(snap.Links6)))
-	add := func(ls []snapshot.Link, in6 bool) {
-		for _, l := range ls {
-			a, b := uint64(l.Key.Lo), uint64(l.Key.Hi)
-			edges = append(edges,
-				dirEdge{key: a<<32 | b, in6: in6},
-				dirEdge{key: b<<32 | a, in6: in6})
-		}
-	}
-	add(snap.Links4, false)
-	add(snap.Links6, true)
-	slices.SortFunc(edges, func(x, y dirEdge) int {
-		switch {
-		case x.key < y.key:
-			return -1
-		case x.key > y.key:
-			return 1
-		// Plane order only matters for determinism of the merge loop.
-		case !x.in6 && y.in6:
-			return -1
-		case x.in6 && !y.in6:
-			return 1
-		}
-		return 0
-	})
-
-	// Merge duplicates into the shared neighbor array and cut it into
-	// per-source runs (the CSR rows).
-	nbrs := make([]neighborRef, 0, len(edges))
-	var srcOf []asrel.ASN // source AS of each merged neighborRef
-	for i := 0; i < len(edges); {
-		j := i + 1
-		for j < len(edges) && edges[j].key == edges[i].key {
-			j++
-		}
-		ref := neighborRef{asn: asrel.ASN(edges[i].key & 0xffffffff)}
-		for _, e := range edges[i:j] {
-			if e.in6 {
-				ref.in6 = true
-			} else {
-				ref.in4 = true
-			}
-		}
-		nbrs = append(nbrs, ref)
-		srcOf = append(srcOf, asrel.ASN(edges[i].key>>32))
-		i = j
-	}
-	for i := 0; i < len(nbrs); {
-		j := i + 1
-		for j < len(nbrs) && srcOf[j] == srcOf[i] {
-			j++
-		}
-		e := asEntry{neighbors: nbrs[i:j]}
-		for _, r := range e.neighbors {
-			if r.in4 {
-				e.deg4++
-			}
-			if r.in6 {
-				e.deg6++
-			}
-		}
-		st.asns = append(st.asns, srcOf[i])
-		st.entries = append(st.entries, e)
-		i = j
-	}
-
-	// Hybrid indexes: by canonical key for per-link probes, by class
-	// for filtered pagination, by endpoint for the per-AS view. The
-	// per-endpoint runs share one backing array, sized by a counting
-	// pass so nothing reallocates.
-	st.hybByKey = make([]int32, len(snap.Hybrids))
-	for i := range snap.Hybrids {
-		st.hybByKey[i] = int32(i)
-	}
-	slices.SortFunc(st.hybByKey, func(x, y int32) int {
-		ux, uy := intern.Pack(snap.Hybrids[x].Key), intern.Pack(snap.Hybrids[y].Key)
-		switch {
-		case ux < uy:
-			return -1
-		case ux > uy:
-			return 1
-		}
-		return 0
-	})
-	st.hybKeys = make([]uint64, len(st.hybByKey))
-	for i, idx := range st.hybByKey {
-		st.hybKeys[i] = intern.Pack(snap.Hybrids[idx].Key)
-	}
-	counts := make([]int32, len(st.asns))
-	endpoints := func(h core.HybridLink, fn func(entry int)) {
-		for _, end := range []asrel.ASN{h.Key.Lo, h.Key.Hi} {
-			if i, found := slices.BinarySearch(st.asns, end); found {
-				fn(i)
-			}
-		}
-	}
-	for _, h := range snap.Hybrids {
-		endpoints(h, func(i int) { counts[i]++ })
-	}
-	var total int32
-	for _, n := range counts {
-		total += n
-	}
-	shared := make([]int32, total)
-	var off int32
-	for i, n := range counts {
-		st.entries[i].hybrids = shared[off : off : off+n]
-		off += n
-	}
-	for i, h := range snap.Hybrids {
-		st.byClass[h.Class] = append(st.byClass[h.Class], int32(i))
-		endpoints(h, func(e int) {
-			st.entries[e].hybrids = append(st.entries[e].hybrids, int32(i))
-		})
-	}
-	return st
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -702,9 +506,9 @@ func (s *Server) handleRel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer st.release()
-	q := r.URL.Query()
-	a, errA := ParseASN(q.Get("a"))
-	b, errB := ParseASN(q.Get("b"))
+	q := r.URL.RawQuery
+	a, errA := ParseASN(queryValue(q, "a"))
+	b, errB := ParseASN(queryValue(q, "b"))
 	if errA != nil || errB != nil {
 		writeError(w, http.StatusBadRequest, "need ?a= and ?b= AS numbers")
 		return
@@ -714,25 +518,29 @@ func (s *Server) handleRel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := asrel.Key(a, b)
-	_, in4 := lookupLink(st.link4, st.snap.Links4, k)
-	v6, in6 := lookupLink(st.link6, st.snap.Links6, k)
-	if !in4 && !in6 {
+	link, ok := st.idx.Link(a, b)
+	if !ok {
 		writeError(w, http.StatusNotFound, "link %s not observed in either plane", k)
 		return
+	}
+	in4, in6 := link.In4(), link.In6()
+	var v6 int
+	if in6 {
+		v6, _ = snapshot.LookupLink(st.snap.Links6, k)
 	}
 	resp := RelResponse{
 		A:           uint32(a),
 		B:           uint32(b),
-		V4:          st.snap.Rel4.Get(a, b).String(),
-		V6:          st.snap.Rel6.Get(a, b).String(),
+		V4:          link.Rel4().String(),
+		V6:          link.Rel6().String(),
 		In4:         in4,
 		In6:         in6,
 		DualStack:   in4 && in6,
 		Visibility6: v6,
 	}
-	if i, ok := st.lookupHybrid(k); ok {
+	if class, ok := link.Hybrid(); ok {
 		resp.Hybrid = true
-		resp.Class = st.snap.Hybrids[i].Class.String()
+		resp.Class = class.String()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -748,38 +556,48 @@ func (s *Server) handleAS(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e, ok := st.lookupAS(asn)
+	i, ok := st.idx.LookupAS(asn)
 	if !ok {
 		writeError(w, http.StatusNotFound, "%s not observed in either plane", asn)
 		return
 	}
+	nbrs, hybs := st.idx.Neighbors(i), st.idx.ASHybrids(i)
 	resp := ASResponse{
 		ASN:       uint32(asn),
-		Degree4:   e.deg4,
-		Degree6:   e.deg6,
-		Neighbors: make([]NeighborJSON, 0, len(e.neighbors)),
-		Hybrids:   make([]HybridJSON, 0, len(e.hybrids)),
+		Neighbors: make([]NeighborJSON, 0, len(nbrs)),
+		Hybrids:   make([]HybridJSON, 0, len(hybs)),
 	}
-	for _, n := range e.neighbors {
-		k := asrel.Key(asn, n.asn)
-		vis6, _ := lookupLink(st.link6, st.snap.Links6, k)
+	for _, n := range nbrs {
+		in4, in6 := n.In4(), n.In6()
+		if in4 {
+			resp.Degree4++
+		}
+		if in6 {
+			resp.Degree6++
+		}
+		var vis6 int
+		if in6 {
+			vis6, _ = snapshot.LookupLink(st.snap.Links6, asrel.Key(asn, n.ASN))
+		}
 		nj := NeighborJSON{
-			ASN:         uint32(n.asn),
-			In4:         n.in4,
-			In6:         n.in6,
-			DualStack:   n.in4 && n.in6,
-			V4:          st.snap.Rel4.Get(asn, n.asn).String(),
-			V6:          st.snap.Rel6.Get(asn, n.asn).String(),
+			ASN:         uint32(n.ASN),
+			In4:         in4,
+			In6:         in6,
+			DualStack:   in4 && in6,
+			V4:          n.Rel4().String(),
+			V6:          n.Rel6().String(),
 			Visibility6: vis6,
 		}
-		if i, ok := st.lookupHybrid(k); ok {
+		if class, ok := n.Hybrid(); ok {
 			nj.Hybrid = true
-			nj.Class = st.snap.Hybrids[i].Class.String()
+			nj.Class = class.String()
 		}
 		resp.Neighbors = append(resp.Neighbors, nj)
 	}
-	for _, i := range e.hybrids {
-		resp.Hybrids = append(resp.Hybrids, hybridJSON(st.snap.Hybrids[i]))
+	for _, p := range hybs {
+		if h, ok := st.idx.Hybrid(p); ok {
+			resp.Hybrids = append(resp.Hybrids, hybridJSON(h))
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -790,10 +608,10 @@ func (s *Server) handleHybrids(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer st.release()
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 
 	offset, limit := 0, DefaultLimit
-	if v := q.Get("offset"); v != "" {
+	if v := queryValue(q, "offset"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, "invalid offset %q", v)
@@ -801,7 +619,7 @@ func (s *Server) handleHybrids(w http.ResponseWriter, r *http.Request) {
 		}
 		offset = n
 	}
-	if v := q.Get("limit"); v != "" {
+	if v := queryValue(q, "limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			writeError(w, http.StatusBadRequest, "invalid limit %q", v)
@@ -811,26 +629,28 @@ func (s *Server) handleHybrids(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Unfiltered requests page the hybrid list directly; a class filter
-	// pages the precomputed per-class index. Both preserve visibility
-	// order and both are O(page), not O(total).
+	// pages the index's per-class run. Both preserve visibility order
+	// and both are O(page), not O(total).
 	resp := HybridsResponse{Offset: offset, Limit: limit}
 	page := func(h core.HybridLink) {
 		resp.Hybrids = append(resp.Hybrids, hybridJSON(h))
 	}
-	if v := q.Get("class"); v != "" {
+	if v := queryValue(q, "class"); v != "" {
 		cl, err := ParseClass(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		resp.Class = cl.String()
-		idx := st.byClass[cl]
-		resp.Total = len(idx)
+		run := st.idx.ClassHybrids(cl)
+		resp.Total = len(run)
 		// An offset past the end of the filtered list yields an empty
 		// page, never a slice panic.
-		if offset < len(idx) {
-			for _, i := range idx[offset:min(offset+limit, len(idx))] {
-				page(st.snap.Hybrids[i])
+		if offset < len(run) {
+			for _, p := range run[offset:min(offset+limit, len(run))] {
+				if h, ok := st.idx.Hybrid(p); ok {
+					page(h)
+				}
 			}
 		}
 	} else {
@@ -875,7 +695,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	defer st.release()
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ok",
-		ASNs:     len(st.asns),
+		ASNs:     st.idx.NumASes(),
 		Links4:   len(st.snap.Links4),
 		Links6:   len(st.snap.Links6),
 		Hybrids:  len(st.snap.Hybrids),
@@ -894,7 +714,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	defer st.release()
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ready",
-		ASNs:     len(st.asns),
+		ASNs:     st.idx.NumASes(),
 		Links4:   len(st.snap.Links4),
 		Links6:   len(st.snap.Links6),
 		Hybrids:  len(st.snap.Hybrids),
@@ -919,7 +739,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	defer st.release()
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "reloaded",
-		ASNs:     len(st.asns),
+		ASNs:     st.idx.NumASes(),
 		Links4:   len(st.snap.Links4),
 		Links6:   len(st.snap.Links6),
 		Hybrids:  len(st.snap.Hybrids),

@@ -6,6 +6,7 @@ package serve
 
 import (
 	"fmt"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -261,6 +262,29 @@ func hybridJSON(h core.HybridLink) HybridJSON {
 		Class:      h.Class.String(),
 		Visibility: h.Visibility,
 	}
+}
+
+// queryValue returns the first value of key in the raw query string —
+// exactly what url.ParseQuery(raw).Get(key) returns: pairs split on
+// '&', pairs holding ';' or failing to unescape skipped — without
+// building the url.Values map, which was the largest share of a read
+// request's garbage. It allocates only to unescape.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // ParseASN parses an AS number in either bare ("64500") or prefixed

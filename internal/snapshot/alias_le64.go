@@ -10,7 +10,7 @@ import (
 	"hybridrel/internal/intern"
 )
 
-// On these architectures (both little-endian with 64-bit int) the v2
+// On these architectures (both little-endian with 64-bit int) the
 // fixed-width records are byte-for-byte the Go in-memory layouts, so a
 // mapped section is reinterpreted in place: no decode pass, no
 // per-entry heap objects. The assertions below are compile errors the
@@ -26,15 +26,21 @@ var (
 	_ [16]byte = [unsafe.Offsetof(core.HybridLink{}.Visibility)]byte{}
 	_ [1]byte  = [unsafe.Sizeof(asrel.Rel(0))]byte{}
 	_ [8]byte  = [unsafe.Sizeof(int(0))]byte{}
+	_ [4]byte  = [unsafe.Sizeof(asrel.ASN(0))]byte{}
+	_ [8]byte  = [unsafe.Sizeof(Neighbor{})]byte{}
+	_ [4]byte  = [unsafe.Offsetof(Neighbor{}.flags)]byte{}
+	_ [5]byte  = [unsafe.Offsetof(Neighbor{}.rel4)]byte{}
+	_ [6]byte  = [unsafe.Offsetof(Neighbor{}.rel6)]byte{}
+	_ [7]byte  = [unsafe.Offsetof(Neighbor{}.class)]byte{}
 )
 
-// aliasV2 builds a Snapshot whose tables, link sections, and hybrid
-// list alias the mapped bytes directly. data must have passed parseV2
-// (which guarantees bounds and 8-byte alignment of every section
-// offset; the mapping base is page-aligned, so aligned offsets yield
-// aligned pointers). The eagerly-decoded stats are filled by the
-// caller.
-func aliasV2(data []byte, lay *v2Layout) (*Snapshot, bool) {
+// aliasFixed builds a Snapshot whose tables, link sections, hybrid
+// list and (version 3) serving index alias the mapped bytes directly.
+// data must have passed parseFixed (which guarantees bounds and 8-byte
+// alignment of every section offset; the mapping base is page-aligned,
+// so aligned offsets yield aligned pointers). The eagerly-decoded
+// stats are filled by the caller.
+func aliasFixed(data []byte, lay *layout) (*Snapshot, bool) {
 	s := &Snapshot{
 		Rel4: intern.TableFromSorted(
 			aliasSec[uint64](data, lay, secRel4Keys),
@@ -46,11 +52,23 @@ func aliasV2(data []byte, lay *v2Layout) (*Snapshot, bool) {
 		Links6:  aliasSec[Link](data, lay, secLinks6),
 		Hybrids: aliasSec[core.HybridLink](data, lay, secHybrids),
 	}
+	if lay.version == Version3 {
+		s.index.idx = &Index{
+			asns:     aliasSec[asrel.ASN](data, lay, secASNs),
+			nbrOff:   aliasSec[uint32](data, lay, secNbrOff),
+			nbrs:     aliasSec[Neighbor](data, lay, secNbrs),
+			classOff: aliasSec[uint32](data, lay, secClassOff),
+			classIdx: aliasSec[uint32](data, lay, secClassIdx),
+			hybOff:   aliasSec[uint32](data, lay, secHybOff),
+			hybIdx:   aliasSec[uint32](data, lay, secHybIdx),
+			hybrids:  s.Hybrids,
+		}
+	}
 	return s, true
 }
 
 // aliasSec reinterprets section si of the mapped artifact as a []T.
-func aliasSec[T any](data []byte, lay *v2Layout, si int) []T {
+func aliasSec[T any](data []byte, lay *layout, si int) []T {
 	n := lay.cnt[si]
 	if n == 0 {
 		return nil

@@ -1,36 +1,60 @@
 package snapshot
 
-// Format version 2: the fixed-width, mmap-able layout.
+// The fixed-width, mmap-able layout: format version 3 (written) and
+// version 2 (read forever).
 //
 // Version 1 is a varint stream — compact on the wire, but decoding is
 // inherently sequential and materializes every entry on the heap, so
-// serve load time and RSS grow linearly with world size. Version 2
-// trades ~2× wire size for direct reinterpretation: every section is an
-// array of fixed-width little-endian records whose byte layout equals
-// the Go in-memory layout on little-endian 64-bit machines (asserted at
-// compile time in alias_le64.go), and a section-offset directory in the
-// header makes the whole artifact random-access. Map therefore serves a
-// v2 file by validating O(#sections) of structure and aliasing the
-// mapped bytes in place — no decode pass, no per-entry heap objects.
+// serve load time and RSS grow linearly with world size. The
+// fixed-width versions trade ~2× wire size for direct
+// reinterpretation: every section is an array of fixed-width
+// little-endian records whose byte layout equals the Go in-memory
+// layout on little-endian 64-bit machines (asserted at compile time in
+// alias_le64.go), and a section-offset directory in the header makes
+// the whole artifact random-access. Map therefore serves such a file
+// by validating O(#sections) of structure and aliasing the mapped
+// bytes in place — no decode pass, no per-entry heap objects.
 //
-// # Wire format (version 2)
+// Version 3 adds the serving index (index.go) as sections of its own,
+// so installing a mapped snapshot does no index work either, and a
+// CRC-32C (Castagnoli) of every section in the directory.
+//
+// # Wire format (version 3)
 //
 //	off 0   magic   "HYBS"                          4 bytes
-//	off 4   version uint16 big-endian               2 (matches v1 sniffing)
-//	off 6   flags   uint8                           0 (v2 is never compressed)
-//	off 7   nsec    uint8                           8 sections
-//	off 8   directory: nsec × { offset uint64 LE, count uint64 LE }
+//	off 4   version uint16 big-endian               3 (matches v1 sniffing)
+//	off 6   flags   uint8                           0 (never compressed)
+//	off 7   nsec    uint8                           15 sections
+//	off 8   directory: nsec × { offset uint64 LE, count uint64 LE,
+//	                            crc32c uint32 LE, reserved uint32 = 0 }
 //	        sections, each 8-byte aligned, zero-padded between:
-//	  0 rel4keys  count × uint64    packed canonical keys, strictly ascending
-//	  1 rel4rels  count × uint8     Rel codes, parallel to rel4keys
-//	  2 rel6keys  count × uint64
-//	  3 rel6rels  count × uint8
-//	  4 links4    count × 16 bytes  { lo u32, hi u32, visibility u64 }
-//	  5 links6    count × 16 bytes
-//	  6 hybrids   count × 24 bytes  { lo u32, hi u32, v4 u8, v6 u8,
-//	                                  class u8, pad[5] = 0, visibility u64 }
-//	  7 stats     count × uint64    headline statistics words (below)
+//	   0 rel4keys   count × uint64    packed canonical keys, strictly ascending
+//	   1 rel4rels   count × uint8     Rel codes, parallel to rel4keys
+//	   2 rel6keys   count × uint64
+//	   3 rel6rels   count × uint8
+//	   4 links4     count × 16 bytes  { lo u32, hi u32, visibility u64 }
+//	   5 links6     count × 16 bytes
+//	   6 hybrids    count × 24 bytes  { lo u32, hi u32, v4 u8, v6 u8,
+//	                                    class u8, pad[5] = 0, visibility u64 }
+//	   7 stats      count × uint64    headline statistics words (below)
+//	   8 asns       count × uint32    every AS of either link set, ascending
+//	   9 nbroff     (asns+1) × uint32 CSR offsets into nbrs
+//	  10 nbrs       count × 8 bytes   { asn u32, flags u8 (bit 0 IPv4,
+//	                                    bit 1 IPv6, bit 2 hybrid), rel4 u8,
+//	                                    rel6 u8, class u8 }: each AS's run
+//	                                    ascending by asn, relationships
+//	                                    oriented from the AS
+//	  11 classoff   6 × uint32        per-class run offsets into classidx
+//	  12 classidx   hybrids × uint32  hybrid-list positions, by class,
+//	                                    list order within a class
+//	  13 hyboff     (asns+1) × uint32 per-AS run offsets into hybidx
+//	  14 hybidx     count × uint32    each AS's hybrid-list positions,
+//	                                    list order
 //	trailer "SBYH"                                  last 4 bytes
+//
+// The checksum covers a section's records, not its padding. Version 2
+// is the same layout with only sections 0–7, directory entries of 16
+// bytes { offset, count } and no checksums.
 //
 // The stats section is 19+2k words: coverage (7), census
 // (dualClassified, hybrid, k, then k × (class, count)), visibility
@@ -38,18 +62,20 @@ package snapshot
 // mean-dual-degree), valley (5). It is tiny and decoded eagerly even
 // under Map.
 //
-// Strict decoding (Read on a v2 stream, and Map's fallback on exotic
+// Strict decoding (Read, Open, Verify, and Map's fallback on exotic
 // platforms) validates everything v1 validates — sortedness, canonical
 // key order, enum codes, value bounds — plus the canonical section
-// layout (contiguous in index order, zero padding). Map validates only
-// structure (bounds, alignment, paired counts, trailer): corrupt but
-// structurally valid data yields wrong answers from a binary search,
-// never a panic, which is the price of O(1) load.
+// layout (contiguous in index order, zero padding), every checksum,
+// and that the stored index equals the builder's output; each failure
+// names the section and the byte offset. Map validates only structure
+// (bounds, alignment, paired counts, trailer): corrupt but structurally
+// valid data yields wrong answers from a binary search, never a panic,
+// which is the price of O(1) load.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"sort"
@@ -60,15 +86,18 @@ import (
 )
 
 const (
-	// Version2 is the fixed-width format version.
+	// Version2 is the first fixed-width format version, read-only now.
 	Version2 = 2
+	// Version3 is the fixed-width format version EncodeV2 writes: v2
+	// plus the serving index and per-section checksums.
+	Version3 = 3
 
 	v2NumSections = 8
-	v2HeaderSize  = 8 + v2NumSections*16
-	v2MinSize     = v2HeaderSize + len(trailer)
+	numSections   = 15
+	v3HeaderSize  = 8 + numSections*24
 )
 
-// Section indexes into the v2 directory.
+// Section indexes into the directory; v2 has the first eight.
 const (
 	secRel4Keys = iota
 	secRel4Rels
@@ -78,84 +107,197 @@ const (
 	secLinks6
 	secHybrids
 	secStats
+	secASNs
+	secNbrOff
+	secNbrs
+	secClassOff
+	secClassIdx
+	secHybOff
+	secHybIdx
 )
 
-// v2RecSize is the fixed record width of each section in bytes.
-var v2RecSize = [v2NumSections]int{8, 1, 8, 1, 16, 16, 24, 8}
+// secNames names each section in error messages.
+var secNames = [numSections]string{
+	"rel4 keys", "rel4 rels", "rel6 keys", "rel6 rels", "ipv4 links",
+	"ipv6 links", "hybrid list", "stats", "index asns",
+	"index neighbour offsets", "index neighbours", "index class offsets",
+	"index class runs", "index hybrid offsets", "index hybrid runs",
+}
+
+// recSize is the fixed record width of each section in bytes.
+var recSize = [numSections]int{8, 1, 8, 1, 16, 16, 24, 8, 4, 4, 8, 4, 4, 4, 4}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // align8 rounds up to the next multiple of 8.
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// WriteFileV2 writes s to path in format version 2 with the same
-// atomic temp-and-rename discipline as WriteFile.
+// fixedSpec is the header shape of one fixed-width version.
+type fixedSpec struct {
+	nsec  int // directory entries
+	entry int // bytes per directory entry
+}
+
+func specOf(version uint16) (fixedSpec, bool) {
+	switch version {
+	case Version2:
+		return fixedSpec{nsec: v2NumSections, entry: 16}, true
+	case Version3:
+		return fixedSpec{nsec: numSections, entry: 24}, true
+	}
+	return fixedSpec{}, false
+}
+
+func (f fixedSpec) headerSize() int { return 8 + f.nsec*f.entry }
+
+// WriteFileV2 writes s to path in the current fixed-width format
+// (version 3) with the same atomic temp-and-rename discipline as
+// WriteFile.
 func WriteFileV2(path string, s *Snapshot) error {
 	return encodeFileWith(path, s, EncodeV2)
 }
 
-// EncodeV2 serializes s in format version 2. The encoding is canonical
-// — fixed section order, fixed offsets for given counts, zero padding,
-// sorted census classes — so equal snapshots produce identical bytes,
-// exactly like the v1 encoding.
+// EncodeV2 serializes s in the current fixed-width format, version 3,
+// building s's serving index if it has none yet. The encoding is
+// canonical — fixed section order, fixed offsets for given counts,
+// zero padding, sorted census classes, an index that is a function of
+// the products — so equal snapshots produce identical bytes, exactly
+// like the v1 encoding.
 func EncodeV2(w io.Writer, s *Snapshot) error {
-	words := v2StatsWords(s)
-	var counts [v2NumSections]int
-	counts[secRel4Keys] = tableLen(s.Rel4)
-	counts[secRel4Rels] = counts[secRel4Keys]
-	counts[secRel6Keys] = tableLen(s.Rel6)
-	counts[secRel6Rels] = counts[secRel6Keys]
-	counts[secLinks4] = len(s.Links4)
-	counts[secLinks6] = len(s.Links6)
-	counts[secHybrids] = len(s.Hybrids)
-	counts[secStats] = len(words)
-
-	var offs [v2NumSections]int
-	off := v2HeaderSize
+	src := sectionSource{s: s, ix: s.Index(), words: v2StatsWords(s)}
+	var offs [numSections]int
+	off := v3HeaderSize
 	for i := range offs {
 		offs[i] = off
-		off = align8(off + counts[i]*v2RecSize[i])
+		off = align8(off + src.count(i)*recSize[i])
 	}
 
-	bw := bufio.NewWriter(w)
-	hdr := make([]byte, v2HeaderSize)
+	// The directory precedes the sections it checksums, so a first pass
+	// streams each section through the hash and a second writes it.
+	e := &encoderV2{buf: make([]byte, 0, encChunk+64)}
+	var crcs [numSections]uint32
+	h := crc32.New(castagnoli)
+	for i := range crcs {
+		h.Reset()
+		e.w = h
+		src.write(e, i)
+		e.flush()
+		crcs[i] = h.Sum32()
+	}
+
+	hdr := make([]byte, v3HeaderSize)
 	copy(hdr, magic)
-	binary.BigEndian.PutUint16(hdr[4:6], Version2)
+	binary.BigEndian.PutUint16(hdr[4:6], Version3)
 	hdr[6] = 0
-	hdr[7] = v2NumSections
+	hdr[7] = numSections
 	for i := range offs {
-		binary.LittleEndian.PutUint64(hdr[8+16*i:], uint64(offs[i]))
-		binary.LittleEndian.PutUint64(hdr[8+16*i+8:], uint64(counts[i]))
+		d := hdr[8+24*i:]
+		binary.LittleEndian.PutUint64(d, uint64(offs[i]))
+		binary.LittleEndian.PutUint64(d[8:], uint64(src.count(i)))
+		binary.LittleEndian.PutUint32(d[16:], crcs[i])
 	}
-	e := &encoderV2{w: bw, off: 0}
+	e.w, e.off = w, 0
 	e.bytes(hdr)
-	e.pad(offs[secRel4Keys])
-	writeTableV2(e, s.Rel4, offs[secRel4Keys], offs[secRel4Rels])
-	e.pad(offs[secRel6Keys])
-	writeTableV2(e, s.Rel6, offs[secRel6Keys], offs[secRel6Rels])
-	e.pad(offs[secLinks4])
-	for _, l := range s.Links4 {
-		e.link(l)
-	}
-	e.pad(offs[secLinks6])
-	for _, l := range s.Links6 {
-		e.link(l)
-	}
-	e.pad(offs[secHybrids])
-	for _, h := range s.Hybrids {
-		e.hybrid(h)
-	}
-	e.pad(offs[secStats])
-	for _, u := range words {
-		e.u64(u)
+	for i := range offs {
+		e.pad(offs[i])
+		src.write(e, i)
 	}
 	e.pad(off)
 	e.bytes([]byte(trailer))
+	e.flush()
 	if e.err != nil {
-		return fmt.Errorf("snapshot: encode v2: %w", e.err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("snapshot: encode v2: %w", err)
+		return fmt.Errorf("snapshot: encode v3: %w", e.err)
 	}
 	return nil
+}
+
+// sectionSource produces the records of every section of a snapshot.
+type sectionSource struct {
+	s     *Snapshot
+	ix    *Index
+	words []uint64
+}
+
+func (src *sectionSource) count(i int) int {
+	s, ix := src.s, src.ix
+	switch i {
+	case secRel4Keys, secRel4Rels:
+		return tableLen(s.Rel4)
+	case secRel6Keys, secRel6Rels:
+		return tableLen(s.Rel6)
+	case secLinks4:
+		return len(s.Links4)
+	case secLinks6:
+		return len(s.Links6)
+	case secHybrids:
+		return len(s.Hybrids)
+	case secStats:
+		return len(src.words)
+	case secASNs:
+		return len(ix.asns)
+	case secNbrOff:
+		return len(ix.nbrOff)
+	case secNbrs:
+		return len(ix.nbrs)
+	case secClassOff:
+		return len(ix.classOff)
+	case secClassIdx:
+		return len(ix.classIdx)
+	case secHybOff:
+		return len(ix.hybOff)
+	case secHybIdx:
+		return len(ix.hybIdx)
+	}
+	panic("snapshot: no such section")
+}
+
+// write emits section i's records, without padding.
+func (src *sectionSource) write(e *encoderV2, i int) {
+	s, ix := src.s, src.ix
+	switch i {
+	case secRel4Keys:
+		e.u64s(tableKeys(s.Rel4))
+	case secRel4Rels:
+		e.rels(tableRels(s.Rel4))
+	case secRel6Keys:
+		e.u64s(tableKeys(s.Rel6))
+	case secRel6Rels:
+		e.rels(tableRels(s.Rel6))
+	case secLinks4:
+		for _, l := range s.Links4 {
+			e.link(l)
+		}
+	case secLinks6:
+		for _, l := range s.Links6 {
+			e.link(l)
+		}
+	case secHybrids:
+		for _, h := range s.Hybrids {
+			e.hybrid(h)
+		}
+	case secStats:
+		e.u64s(src.words)
+	case secASNs:
+		for _, a := range ix.asns {
+			e.u32(uint32(a))
+		}
+	case secNbrOff:
+		e.u32s(ix.nbrOff)
+	case secNbrs:
+		for _, n := range ix.nbrs {
+			e.u32(uint32(n.ASN))
+			e.buf = append(e.buf, n.flags, byte(n.rel4), byte(n.rel6), byte(n.class))
+			e.grew(4)
+		}
+	case secClassOff:
+		e.u32s(ix.classOff)
+	case secClassIdx:
+		e.u32s(ix.classIdx)
+	case secHybOff:
+		e.u32s(ix.hybOff)
+	case secHybIdx:
+		e.u32s(ix.hybIdx)
+	}
 }
 
 func tableLen(t *intern.Table) int {
@@ -165,78 +307,101 @@ func tableLen(t *intern.Table) int {
 	return t.Len()
 }
 
-// writeTableV2 emits both sections of a relationship table. The rels
-// section trails the keys section, so the encoder seeks by buffering:
-// keys stream out in place while rel bytes accumulate, then pad+flush.
-func writeTableV2(e *encoderV2, t *intern.Table, keysOff, relsOff int) {
+func tableKeys(t *intern.Table) []uint64 {
 	if t == nil {
-		return
+		return nil
 	}
-	for _, u := range t.PackedKeys() {
-		e.u64(u)
-	}
-	e.pad(relsOff)
-	for _, r := range t.Rels() {
-		e.byte(byte(r))
-	}
+	return t.PackedKeys()
 }
 
-// encoderV2 writes with a sticky error while tracking the output
-// offset, so zero padding to each section's directory offset is exact.
+func tableRels(t *intern.Table) []asrel.Rel {
+	if t == nil {
+		return nil
+	}
+	return t.Rels()
+}
+
+// encChunk is how many bytes encoderV2 buffers before handing them on.
+const encChunk = 64 << 10
+
+// encoderV2 writes little-endian records in chunks with a sticky
+// error while tracking the output offset, so zero padding to each
+// section's directory offset is exact.
 type encoderV2 struct {
-	w   *bufio.Writer
+	w   io.Writer
+	buf []byte
 	off int
 	err error
-	buf [24]byte
+}
+
+func (e *encoderV2) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// grew accounts for n appended bytes and flushes a full chunk.
+func (e *encoderV2) grew(n int) {
+	e.off += n
+	if len(e.buf) >= encChunk {
+		e.flush()
+	}
 }
 
 func (e *encoderV2) bytes(b []byte) {
-	if e.err != nil {
-		return
-	}
-	n, err := e.w.Write(b)
-	e.off += n
-	e.err = err
+	e.buf = append(e.buf, b...)
+	e.grew(len(b))
 }
 
-func (e *encoderV2) byte(b byte) {
-	if e.err != nil {
-		return
-	}
-	if e.err = e.w.WriteByte(b); e.err == nil {
-		e.off++
-	}
+func (e *encoderV2) u32(u uint32) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, u)
+	e.grew(4)
 }
 
 func (e *encoderV2) u64(u uint64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], u)
-	e.bytes(e.buf[:8])
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, u)
+	e.grew(8)
+}
+
+func (e *encoderV2) u32s(us []uint32) {
+	for _, u := range us {
+		e.u32(u)
+	}
+}
+
+func (e *encoderV2) u64s(us []uint64) {
+	for _, u := range us {
+		e.u64(u)
+	}
+}
+
+func (e *encoderV2) rels(rs []asrel.Rel) {
+	for _, r := range rs {
+		e.buf = append(e.buf, byte(r))
+		e.grew(1)
+	}
 }
 
 func (e *encoderV2) pad(to int) {
-	for e.err == nil && e.off < to {
-		e.byte(0)
+	for e.off < to {
+		e.buf = append(e.buf, 0)
+		e.grew(1)
 	}
 }
 
 func (e *encoderV2) link(l Link) {
-	binary.LittleEndian.PutUint32(e.buf[0:], uint32(l.Key.Lo))
-	binary.LittleEndian.PutUint32(e.buf[4:], uint32(l.Key.Hi))
-	binary.LittleEndian.PutUint64(e.buf[8:], uint64(l.Visibility))
-	e.bytes(e.buf[:16])
+	e.u32(uint32(l.Key.Lo))
+	e.u32(uint32(l.Key.Hi))
+	e.u64(uint64(l.Visibility))
 }
 
 func (e *encoderV2) hybrid(h core.HybridLink) {
-	binary.LittleEndian.PutUint32(e.buf[0:], uint32(h.Key.Lo))
-	binary.LittleEndian.PutUint32(e.buf[4:], uint32(h.Key.Hi))
-	e.buf[8] = byte(h.V4)
-	e.buf[9] = byte(h.V6)
-	e.buf[10] = byte(h.Class)
-	for i := 11; i < 16; i++ {
-		e.buf[i] = 0
-	}
-	binary.LittleEndian.PutUint64(e.buf[16:], uint64(h.Visibility))
-	e.bytes(e.buf[:24])
+	e.u32(uint32(h.Key.Lo))
+	e.u32(uint32(h.Key.Hi))
+	e.buf = append(e.buf, byte(h.V4), byte(h.V6), byte(h.Class), 0, 0, 0, 0, 0)
+	e.grew(8)
+	e.u64(uint64(h.Visibility))
 }
 
 // v2StatsWords flattens the headline statistics into the stats-section
@@ -265,62 +430,103 @@ func v2StatsWords(s *Snapshot) []uint64 {
 	return words
 }
 
-// v2Layout is the parsed section directory of a v2 artifact.
-type v2Layout struct {
-	off [v2NumSections]int
-	cnt [v2NumSections]int
+// layout is the parsed section directory of a fixed-width artifact.
+type layout struct {
+	version uint16
+	spec    fixedSpec
+	off     [numSections]int
+	cnt     [numSections]int
+	crc     [numSections]uint32
 }
 
-// parseV2 validates the structural invariants of a v2 artifact — the
-// whole of what Map checks before serving it: header fields, directory
-// bounds and alignment, paired key/rel counts, and the trailer. It
-// never touches the section payloads, so its cost is independent of
-// snapshot size.
-func parseV2(data []byte) (*v2Layout, error) {
-	if len(data) < v2MinSize {
-		return nil, fmt.Errorf("snapshot: v2: file too short (%d bytes, need at least %d)", len(data), v2MinSize)
+// records returns section i's record bytes.
+func (l *layout) records(data []byte, i int) []byte {
+	return data[l.off[i] : l.off[i]+l.cnt[i]*recSize[i]]
+}
+
+// sectionErr formats a failure in section i.
+func (l *layout) sectionErr(i int, format string, args ...any) error {
+	return fmt.Errorf("snapshot: v%d section %d (%s): %s", l.version, i, secNames[i], fmt.Sprintf(format, args...))
+}
+
+// parseFixed validates the structural invariants of a fixed-width
+// artifact of size bytes — the whole of what Map checks before serving
+// it: header fields, directory bounds and alignment, paired counts,
+// and the trailer. It reads only head, the file's first
+// min(size, v3HeaderSize) bytes, and tail, its last four, never the
+// section payloads, so its cost is independent of snapshot size.
+func parseFixed(head, tail []byte, size int) (*layout, error) {
+	if size < 8 || len(head) < 8 {
+		return nil, fmt.Errorf("snapshot: file too short (%d bytes)", size)
 	}
-	if string(data[:4]) != magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot file)", data[:4])
+	if string(head[:4]) != magic {
+		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot file)", head[:4])
 	}
-	if v := binary.BigEndian.Uint16(data[4:6]); v != Version2 {
-		return nil, fmt.Errorf("snapshot: v2 parser given version %d", v)
-	}
-	if data[6] != 0 {
-		return nil, fmt.Errorf("snapshot: v2: unknown flags %#x (v2 payloads are never compressed)", data[6])
-	}
-	if data[7] != v2NumSections {
-		return nil, fmt.Errorf("snapshot: v2: section count %d, want %d", data[7], v2NumSections)
-	}
-	if string(data[len(data)-4:]) != trailer {
-		return nil, fmt.Errorf("snapshot: v2 trailer: bad sentinel %q at byte offset %d (truncated or corrupted snapshot)", data[len(data)-4:], len(data)-4)
-	}
-	lay := &v2Layout{}
-	limit := uint64(len(data) - len(trailer))
-	for i := 0; i < v2NumSections; i++ {
-		off := binary.LittleEndian.Uint64(data[8+16*i:])
-		cnt := binary.LittleEndian.Uint64(data[8+16*i+8:])
-		if cnt > maxCount {
-			return nil, fmt.Errorf("snapshot: v2 section %d: implausible count %d", i, cnt)
+	v := binary.BigEndian.Uint16(head[4:6])
+	spec, ok := specOf(v)
+	if !ok {
+		if v > Version3 {
+			return nil, fmt.Errorf("snapshot: file version %d is newer than the supported version %d; upgrade this binary or re-export the snapshot", v, Version3)
 		}
-		if off%8 != 0 || off < v2HeaderSize || off > limit || cnt*uint64(v2RecSize[i]) > limit-off {
-			return nil, fmt.Errorf("snapshot: v2 section %d: out of bounds (offset %d, %d records of %d bytes in a %d-byte file)", i, off, cnt, v2RecSize[i], len(data))
+		return nil, fmt.Errorf("snapshot: version %d is not a fixed-width format", v)
+	}
+	if need := spec.headerSize() + len(trailer); size < need || len(head) < spec.headerSize() || len(tail) != len(trailer) {
+		return nil, fmt.Errorf("snapshot: v%d: file too short (%d bytes, need at least %d)", v, size, need)
+	}
+	if head[6] != 0 {
+		return nil, fmt.Errorf("snapshot: v%d: unknown flags %#x (fixed-width payloads are never compressed)", v, head[6])
+	}
+	if int(head[7]) != spec.nsec {
+		return nil, fmt.Errorf("snapshot: v%d: section count %d, want %d", v, head[7], spec.nsec)
+	}
+	if string(tail) != trailer {
+		return nil, fmt.Errorf("snapshot: v%d trailer: bad sentinel %q at byte offset %d (truncated or corrupted snapshot)", v, tail, size-len(trailer))
+	}
+	lay := &layout{version: v, spec: spec}
+	limit := uint64(size - len(trailer))
+	for i := 0; i < spec.nsec; i++ {
+		d := head[8+spec.entry*i:]
+		off := binary.LittleEndian.Uint64(d)
+		cnt := binary.LittleEndian.Uint64(d[8:])
+		if cnt > maxCount {
+			return nil, lay.sectionErr(i, "implausible count %d", cnt)
+		}
+		if off%8 != 0 || off < uint64(spec.headerSize()) || off > limit || cnt*uint64(recSize[i]) > limit-off {
+			return nil, lay.sectionErr(i, "out of bounds (offset %d, %d records of %d bytes in a %d-byte file)", off, cnt, recSize[i], size)
+		}
+		if v == Version3 {
+			if r := binary.LittleEndian.Uint32(d[20:]); r != 0 {
+				return nil, lay.sectionErr(i, "nonzero reserved directory word %#x at byte offset %d", r, 8+spec.entry*i+20)
+			}
+			lay.crc[i] = binary.LittleEndian.Uint32(d[16:])
 		}
 		lay.off[i], lay.cnt[i] = int(off), int(cnt)
 	}
 	if lay.cnt[secRel4Keys] != lay.cnt[secRel4Rels] || lay.cnt[secRel6Keys] != lay.cnt[secRel6Rels] {
-		return nil, fmt.Errorf("snapshot: v2: relationship key/rel section counts disagree")
+		return nil, fmt.Errorf("snapshot: v%d: relationship key/rel section counts disagree", v)
+	}
+	if v == Version3 {
+		c := &lay.cnt
+		switch {
+		case c[secNbrOff] != c[secASNs]+1, c[secHybOff] != c[secASNs]+1:
+			return nil, fmt.Errorf("snapshot: v3: index offset counts %d/%d disagree with %d ASNs", c[secNbrOff], c[secHybOff], c[secASNs])
+		case c[secClassIdx] != c[secHybrids]:
+			return nil, fmt.Errorf("snapshot: v3: index class runs hold %d hybrids, the list %d", c[secClassIdx], c[secHybrids])
+		case c[secClassOff] != numClassRuns+1:
+			return nil, fmt.Errorf("snapshot: v3: %d class offsets, want %d", c[secClassOff], numClassRuns+1)
+		}
 	}
 	return lay, nil
 }
 
-// readV2 is the strict v2 decoder: full validation (everything the v1
-// decoder checks, plus canonical section placement and zero padding)
-// with every product copied onto the heap. Read dispatches here for
-// version-2 streams; Map falls back to it on platforms where aliasing
-// is unavailable.
-func readV2(data []byte) (*Snapshot, error) {
-	lay, err := parseV2(data)
+// readFixed is the strict fixed-width decoder: full validation
+// (everything the v1 decoder checks, plus canonical section placement,
+// zero padding, and for v3 every checksum and the stored index) with
+// every product copied onto the heap. Read dispatches here for
+// version-2 and version-3 streams; Verify runs it over a mapping; Map
+// falls back to it on platforms where aliasing is unavailable.
+func readFixed(data []byte) (*Snapshot, error) {
+	lay, err := parseFixed(data[:min(len(data), v3HeaderSize)], data[max(0, len(data)-len(trailer)):], len(data))
 	if err != nil {
 		return nil, err
 	}
@@ -328,45 +534,99 @@ func readV2(data []byte) (*Snapshot, error) {
 	// padding and nothing between the last section and the trailer.
 	// A hand-built directory that overlaps or reorders sections is
 	// corrupt, not an alternate representation.
-	off := v2HeaderSize
-	for i := 0; i < v2NumSections; i++ {
+	off := lay.spec.headerSize()
+	for i := 0; i < lay.spec.nsec; i++ {
 		if lay.off[i] != off {
-			return nil, fmt.Errorf("snapshot: v2 section %d: at byte offset %d, want canonical offset %d", i, lay.off[i], off)
+			return nil, lay.sectionErr(i, "at byte offset %d, want canonical offset %d", lay.off[i], off)
 		}
-		end := off + lay.cnt[i]*v2RecSize[i]
+		end := off + lay.cnt[i]*recSize[i]
 		off = align8(end)
 		for j := end; j < off; j++ {
 			if data[j] != 0 {
-				return nil, fmt.Errorf("snapshot: v2 section %d: nonzero padding at byte offset %d", i, j)
+				return nil, lay.sectionErr(i, "nonzero padding at byte offset %d", j)
 			}
 		}
 	}
 	if off != len(data)-len(trailer) {
-		return nil, fmt.Errorf("snapshot: v2: %d bytes of trailing garbage before the trailer", len(data)-len(trailer)-off)
+		return nil, fmt.Errorf("snapshot: v%d: %d bytes of trailing garbage before the trailer", lay.version, len(data)-len(trailer)-off)
+	}
+	if lay.version == Version3 {
+		for i := 0; i < numSections; i++ {
+			if got := crc32.Checksum(lay.records(data, i), castagnoli); got != lay.crc[i] {
+				return nil, lay.sectionErr(i, "checksum mismatch at byte offset %d (stored crc32c %#08x, computed %#08x)", lay.off[i], lay.crc[i], got)
+			}
+		}
 	}
 	s := &Snapshot{}
-	if s.Rel4, err = readTableV2(data, lay, secRel4Keys, "rel4 table"); err != nil {
+	if s.Rel4, err = readTableV2(data, lay, secRel4Keys); err != nil {
 		return nil, err
 	}
-	if s.Rel6, err = readTableV2(data, lay, secRel6Keys, "rel6 table"); err != nil {
+	if s.Rel6, err = readTableV2(data, lay, secRel6Keys); err != nil {
 		return nil, err
 	}
-	if s.Links4, err = readLinksV2(data, lay, secLinks4, "ipv4 links"); err != nil {
+	if s.Links4, err = readLinksV2(data, lay, secLinks4); err != nil {
 		return nil, err
 	}
-	if s.Links6, err = readLinksV2(data, lay, secLinks6, "ipv6 links"); err != nil {
+	if s.Links6, err = readLinksV2(data, lay, secLinks6); err != nil {
 		return nil, err
 	}
 	if s.Hybrids, err = readHybridsV2(data, lay); err != nil {
 		return nil, err
 	}
-	if err = readStatsV2(data, lay, s); err != nil {
+	if err = readStatsV2(lay.records(data, secStats), lay, s); err != nil {
 		return nil, err
+	}
+	if lay.version == Version3 {
+		if err := checkIndex(data, lay, s); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-func readTableV2(data []byte, lay *v2Layout, ki int, section string) (*intern.Table, error) {
+// checkIndex requires the stored index sections to equal, byte for
+// byte, the builder's index of the decoded products, and keeps the
+// built index as s's.
+func checkIndex(data []byte, lay *layout, s *Snapshot) error {
+	src := sectionSource{s: s, ix: s.Index()}
+	e := &encoderV2{}
+	for i := secASNs; i < numSections; i++ {
+		if n := src.count(i); n != lay.cnt[i] {
+			return lay.sectionErr(i, "stored index has %d records at byte offset %d, the builder %d", lay.cnt[i], lay.off[i], n)
+		}
+		cmp := &compareWriter{want: lay.records(data, i), diff: -1}
+		e.w = cmp
+		src.write(e, i)
+		e.flush()
+		if cmp.diff >= 0 {
+			return lay.sectionErr(i, "stored index differs from the builder's at byte offset %d", lay.off[i]+cmp.diff)
+		}
+	}
+	return nil
+}
+
+// compareWriter compares what is written against want and records the
+// position of the first differing byte.
+type compareWriter struct {
+	want []byte
+	pos  int
+	diff int // -1 while everything written matches
+}
+
+func (c *compareWriter) Write(p []byte) (int, error) {
+	if c.diff < 0 {
+		for j, b := range p {
+			if c.pos+j >= len(c.want) || c.want[c.pos+j] != b {
+				c.diff = c.pos + j
+				break
+			}
+		}
+	}
+	c.pos += len(p)
+	return len(p), nil
+}
+
+func readTableV2(data []byte, lay *layout, ki int) (*intern.Table, error) {
 	n := lay.cnt[ki]
 	ko, ro := lay.off[ki], lay.off[ki+1]
 	var b intern.TableBuilder
@@ -375,20 +635,20 @@ func readTableV2(data []byte, lay *v2Layout, ki int, section string) (*intern.Ta
 		u := binary.LittleEndian.Uint64(data[ko+8*i:])
 		k := intern.Unpack(u)
 		if k.Lo > k.Hi {
-			return nil, fmt.Errorf("snapshot: %s: link %s not in canonical order (byte offset %d)", section, k, ko+8*i)
+			return nil, lay.sectionErr(ki, "link %s not in canonical order (byte offset %d)", k, ko+8*i)
 		}
 		r := data[ro+i]
 		if r > byte(asrel.S2S) {
-			return nil, fmt.Errorf("snapshot: %s: invalid relationship code %d (byte offset %d)", section, r, ro+i)
+			return nil, lay.sectionErr(ki+1, "invalid relationship code %d (byte offset %d)", r, ro+i)
 		}
 		if err := b.Append(k, asrel.Rel(r)); err != nil {
-			return nil, fmt.Errorf("snapshot: %s: %w (byte offset %d)", section, err, ko+8*i)
+			return nil, lay.sectionErr(ki, "%v (byte offset %d)", err, ko+8*i)
 		}
 	}
 	return b.Table(), nil
 }
 
-func readLinksV2(data []byte, lay *v2Layout, si int, section string) ([]Link, error) {
+func readLinksV2(data []byte, lay *layout, si int) ([]Link, error) {
 	n := lay.cnt[si]
 	if n == 0 {
 		return nil, nil
@@ -404,11 +664,11 @@ func readLinksV2(data []byte, lay *v2Layout, si int, section string) ([]Link, er
 		u := uint64(lo)<<32 | uint64(hi)
 		switch {
 		case lo > hi:
-			return nil, fmt.Errorf("snapshot: %s: link %s not in canonical order (byte offset %d)", section, k, o)
+			return nil, lay.sectionErr(si, "link %s not in canonical order (byte offset %d)", k, o)
 		case i > 0 && u <= last:
-			return nil, fmt.Errorf("snapshot: %s: link %s out of canonical order (byte offset %d)", section, k, o)
+			return nil, lay.sectionErr(si, "link %s out of canonical order (byte offset %d)", k, o)
 		case vis > math.MaxInt64/2:
-			return nil, fmt.Errorf("snapshot: %s: implausible value %d (byte offset %d)", section, vis, o+8)
+			return nil, lay.sectionErr(si, "implausible value %d (byte offset %d)", vis, o+8)
 		}
 		last = u
 		out = append(out, Link{Key: k, Visibility: int(vis)})
@@ -416,15 +676,15 @@ func readLinksV2(data []byte, lay *v2Layout, si int, section string) ([]Link, er
 	return out, nil
 }
 
-func readHybridsV2(data []byte, lay *v2Layout) ([]core.HybridLink, error) {
-	const section = "hybrid list"
-	n := lay.cnt[secHybrids]
+func readHybridsV2(data []byte, lay *layout) ([]core.HybridLink, error) {
+	const si = secHybrids
+	n := lay.cnt[si]
 	if n == 0 {
 		return nil, nil
 	}
 	out := make([]core.HybridLink, 0, min(n, allocCap))
 	for i := 0; i < n; i++ {
-		o := lay.off[secHybrids] + 24*i
+		o := lay.off[si] + 24*i
 		lo := binary.LittleEndian.Uint32(data[o:])
 		hi := binary.LittleEndian.Uint32(data[o+4:])
 		v4, v6, class := data[o+8], data[o+9], data[o+10]
@@ -432,17 +692,17 @@ func readHybridsV2(data []byte, lay *v2Layout) ([]core.HybridLink, error) {
 		k := asrel.LinkKey{Lo: asrel.ASN(lo), Hi: asrel.ASN(hi)}
 		switch {
 		case lo > hi:
-			return nil, fmt.Errorf("snapshot: %s: link %s not in canonical order (byte offset %d)", section, k, o)
+			return nil, lay.sectionErr(si, "link %s not in canonical order (byte offset %d)", k, o)
 		case v4 > byte(asrel.S2S) || v6 > byte(asrel.S2S):
-			return nil, fmt.Errorf("snapshot: %s: invalid relationship code (byte offset %d)", section, o+8)
+			return nil, lay.sectionErr(si, "invalid relationship code (byte offset %d)", o+8)
 		case class > byte(asrel.HybridOther):
-			return nil, fmt.Errorf("snapshot: %s: invalid hybrid class %d (byte offset %d)", section, class, o+10)
+			return nil, lay.sectionErr(si, "invalid hybrid class %d (byte offset %d)", class, o+10)
 		case vis > math.MaxInt64/2:
-			return nil, fmt.Errorf("snapshot: %s: implausible value %d (byte offset %d)", section, vis, o+16)
+			return nil, lay.sectionErr(si, "implausible value %d (byte offset %d)", vis, o+16)
 		}
 		for j := o + 11; j < o+16; j++ {
 			if data[j] != 0 {
-				return nil, fmt.Errorf("snapshot: %s: nonzero record padding (byte offset %d)", section, j)
+				return nil, lay.sectionErr(si, "nonzero record padding (byte offset %d)", j)
 			}
 		}
 		out = append(out, core.HybridLink{
@@ -453,22 +713,22 @@ func readHybridsV2(data []byte, lay *v2Layout) ([]core.HybridLink, error) {
 	return out, nil
 }
 
-// readStatsV2 decodes the stats section into s. It is shared by the
-// strict decoder and Map (the section is 19+2k words — eager decode
-// does not disturb Map's size-independent load).
-func readStatsV2(data []byte, lay *v2Layout, s *Snapshot) error {
-	const section = "stats section"
-	n := lay.cnt[secStats]
+// readStatsV2 decodes the stats section's record bytes into s. It is
+// shared by the strict decoder and Map (the section is 19+2k words —
+// eager decode does not disturb Map's size-independent load).
+func readStatsV2(rec []byte, lay *layout, s *Snapshot) error {
+	const si = secStats
+	n := lay.cnt[si]
 	words := make([]uint64, n)
 	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[lay.off[secStats]+8*i:])
+		words[i] = binary.LittleEndian.Uint64(rec[8*i:])
 	}
 	if n < 19 {
-		return fmt.Errorf("snapshot: %s: %d words, need at least 19", section, n)
+		return lay.sectionErr(si, "%d words, need at least 19", n)
 	}
 	word := func(i int) (int, error) {
 		if words[i] > math.MaxInt64/2 {
-			return 0, fmt.Errorf("snapshot: %s: implausible value %d (word %d)", section, words[i], i)
+			return 0, lay.sectionErr(si, "implausible value %d (word %d)", words[i], i)
 		}
 		return int(words[i]), nil
 	}
@@ -490,12 +750,12 @@ func readStatsV2(data []byte, lay *v2Layout, s *Snapshot) error {
 	}
 	k := words[9]
 	if k > uint64(asrel.HybridOther)+1 || n != int(19+2*k) {
-		return fmt.Errorf("snapshot: %s: %d words with %d census classes", section, n, k)
+		return lay.sectionErr(si, "%d words with %d census classes", n, k)
 	}
 	for i := 0; i < int(k); i++ {
 		cl := words[10+2*i]
 		if cl > uint64(asrel.HybridOther) {
-			return fmt.Errorf("snapshot: %s: invalid hybrid class %d (word %d)", section, cl, 10+2*i)
+			return lay.sectionErr(si, "invalid hybrid class %d (word %d)", cl, 10+2*i)
 		}
 		if s.Census.ByClass[asrel.HybridClass(cl)], err = word(11 + 2*i); err != nil {
 			return err

@@ -31,11 +31,21 @@
 // wraps every failure in a descriptive error — corrupted or truncated
 // input returns an error, never panics.
 //
-// Format version 2 — the fixed-width little-endian layout built for
-// mmap serving — is documented and implemented in format2.go. Read
-// decodes both versions forever; Encode keeps writing version 1 (the
-// portable interchange form), EncodeV2/WriteFileV2 write version 2,
-// and Map serves a version-2 file in place without a decode pass.
+// The fixed-width little-endian layouts built for mmap serving —
+// version 2, and version 3, which adds the serving index and
+// per-section CRC-32C checksums — are documented and implemented in
+// format2.go.
+//
+// # Version policy
+//
+// Read and Open decode every version ever written — 1, 2 and 3 —
+// forever; a file newer than this package is rejected with an error
+// naming both versions, never misparsed. Encode keeps writing version
+// 1 (the portable interchange form); EncodeV2 and WriteFileV2 write
+// the current fixed-width version, 3. Map serves version-2 and
+// version-3 files in place without a decode pass; only version 3
+// carries the serving index, so a mapped version-2 file builds it once
+// on install.
 package snapshot
 
 import (
@@ -57,7 +67,8 @@ import (
 )
 
 const (
-	// Version is the format version this package writes.
+	// Version is the varint format version Encode writes; EncodeV2
+	// writes the fixed-width Version3.
 	Version = 1
 
 	magic   = "HYBS"
@@ -105,6 +116,12 @@ type Snapshot struct {
 	// mapping for a snapshot produced by Map, nothing for heap-decoded
 	// snapshots. Managed through Close/AttachCloser.
 	closer func() error
+	// raw is the file image a snapshot produced by Map serves from,
+	// kept for Verify; nil for heap snapshots.
+	raw []byte
+	// index is the serving index: aliased from a mapped v3 file, or
+	// built on first use (see Index).
+	index indexState
 }
 
 // Close releases the resources backing the snapshot: for a snapshot
@@ -118,8 +135,24 @@ func (s *Snapshot) Close() error {
 		return nil
 	}
 	fn := s.closer
-	s.closer = nil
+	s.closer, s.raw = nil, nil
 	return fn()
+}
+
+// Verify runs the strict reader's checks over the file image a
+// snapshot produced by Map serves from: canonical layout, every
+// record, and for version 3 every section checksum and the stored
+// serving index against the builder's output. The first failure names
+// the section and byte offset. It costs a full decode, O(file size),
+// which is why Map does not do it. A snapshot not served from a file
+// image (Capture, Read, Open) has none to check, and Verify returns
+// nil. Verify must not race or follow Close.
+func (s *Snapshot) Verify() error {
+	if s.raw == nil {
+		return nil
+	}
+	_, err := readFixed(s.raw)
+	return err
 }
 
 // AttachCloser registers fn to be invoked by Close, replacing any
@@ -393,10 +426,11 @@ func Open(path string) (*Snapshot, error) {
 // Read decodes a snapshot from r, validating the magic, version,
 // flags, every element count, and the truncation trailer. Malformed
 // input of any kind — wrong file type, a future format version,
-// truncation at any byte, corrupted varints or enum codes — returns a
-// descriptive error; Read never panics on bad input. Both format
-// versions decode: version 1 exactly as always, version 2 via the
-// strict fixed-width decoder in format2.go.
+// truncation at any byte, corrupted varints or enum codes, a section
+// checksum or stored index that does not match — returns a descriptive
+// error; Read never panics on bad input. Every format version decodes:
+// version 1 exactly as always, versions 2 and 3 via the strict
+// fixed-width decoder in format2.go.
 func Read(r io.Reader) (*Snapshot, error) {
 	hdr := make([]byte, 7)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -406,19 +440,19 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot file)", hdr[:4])
 	}
 	version := binary.BigEndian.Uint16(hdr[4:6])
-	if version == 0 || version > Version2 {
-		return nil, fmt.Errorf("snapshot: file version %d is newer than the supported version %d; upgrade this binary or re-export the snapshot", version, Version2)
+	if version == 0 || version > Version3 {
+		return nil, fmt.Errorf("snapshot: file version %d is newer than the supported version %d; upgrade this binary or re-export the snapshot", version, Version3)
 	}
-	if version == Version2 {
-		// The fixed-width format is random-access by design; buffer the
-		// rest and hand the whole artifact to the strict v2 decoder.
+	if version != Version {
+		// The fixed-width formats are random-access by design; buffer the
+		// rest and hand the whole artifact to the strict decoder.
 		rest, err := io.ReadAll(r)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot: v2 payload: %w", err)
+			return nil, fmt.Errorf("snapshot: v%d payload: %w", version, err)
 		}
 		full := make([]byte, 0, len(hdr)+len(rest))
 		full = append(append(full, hdr...), rest...)
-		return readV2(full)
+		return readFixed(full)
 	}
 	flags := hdr[6]
 	if flags&^byte(flagGzip) != 0 {

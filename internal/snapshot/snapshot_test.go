@@ -10,7 +10,6 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/fnv"
 	"io"
 	"reflect"
 	"strings"
@@ -20,7 +19,6 @@ import (
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/core"
 	"hybridrel/internal/gen"
-	"hybridrel/internal/golden"
 	"hybridrel/internal/intern"
 	"hybridrel/internal/testutil"
 )
@@ -149,50 +147,6 @@ func TestCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestGoldenDecodedHeadlines pins the shared golden headline numbers
-// and the small world's v2 snapshot bytes (internal/golden), and that
-// a decoded snapshot reports the same numbers as the live pipeline's
-// accessors.
-func TestGoldenDecodedHeadlines(t *testing.T) {
-	a := analysis(t)
-	golden.AssertSmall(t, a)
-	h := fnv.New64a()
-	if err := EncodeV2(h, Capture(a)); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Sum64(); got != golden.SmallSnapshotV2FNV {
-		t.Errorf("small-world v2 snapshot FNV-64a = %#016x, want golden %#016x", got, golden.SmallSnapshotV2FNV)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Coverage != a.Coverage() {
-		t.Errorf("coverage: snapshot %+v, live %+v", s.Coverage, a.Coverage())
-	}
-	if !reflect.DeepEqual(s.Census, a.HybridCensus()) {
-		t.Errorf("census: snapshot %+v, live %+v", s.Census, a.HybridCensus())
-	}
-	if s.Visibility != a.HybridVisibility() {
-		t.Errorf("visibility: snapshot %+v, live %+v", s.Visibility, a.HybridVisibility())
-	}
-	if s.Valley != a.ValleyReport() {
-		t.Errorf("valley: snapshot %+v, live %+v", s.Valley, a.ValleyReport())
-	}
-	if !reflect.DeepEqual(s.Hybrids, a.Hybrids()) {
-		t.Error("hybrid list: snapshot and live pipeline disagree")
-	}
-	for _, h := range s.Hybrids {
-		if got := s.Rel6.GetKey(h.Key); got != h.V6 {
-			t.Errorf("hybrid %s: decoded Rel6 says %s, list says %s", h.Key, got, h.V6)
-		}
-	}
-}
-
 func TestWriteFileAndOpen(t *testing.T) {
 	a := analysis(t)
 	path := t.TempDir() + "/world.snap"
@@ -238,7 +192,7 @@ func TestFailureModes(t *testing.T) {
 		mustFail(t, "magic", []byte("NOTASNAPSHOT"), "bad magic")
 	})
 	t.Run("future version", func(t *testing.T) {
-		mustFail(t, "future", header(Version2+1, 0), "newer than the supported version")
+		mustFail(t, "future", header(Version3+1, 0), "newer than the supported version")
 	})
 	t.Run("version zero", func(t *testing.T) {
 		mustFail(t, "v0", header(0, 0), "newer than the supported version")
