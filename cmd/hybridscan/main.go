@@ -9,14 +9,14 @@
 // pipeline mid-ingest.
 //
 // Results can leave the process in machine form: -export writes the
-// versioned binary snapshot cmd/hybridserve serves, -export-v2 writes
-// the fixed-width artifact (format v3) hybridserve -mmap maps in place,
-// and -json prints the same structs the serving API returns, so the
-// batch and serving schemas stay in sync.
+// binary snapshot (format v3, serving index included) that
+// cmd/hybridserve serves, decoded or mapped in place with -mmap, and
+// -json prints the same structs the serving API returns, so the batch
+// and serving schemas stay in sync.
 //
 // Usage:
 //
-//	hybridscan -irr irr.db -v4 'a.mrt,b.mrt' -v6 'ribs6/' [-top N] [-parallel N] [-progress] [-export out.bin] [-export-v2 out.snap2] [-json]
+//	hybridscan -irr irr.db -v4 'a.mrt,b.mrt' -v6 'ribs6/' [-top N] [-parallel N] [-progress] [-export out.snap] [-json]
 package main
 
 import (
@@ -58,15 +58,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		top      = fs.Int("top", 15, "hybrid links to list")
 		parallel = fs.Int("parallel", 0, "pipeline workers (0 = all cores)")
 		progress = fs.Bool("progress", false, "log pipeline progress to stderr")
-		export   = fs.String("export", "", "write the analysis snapshot to this file")
-		exportV2 = fs.String("export-v2", "", "write the snapshot in the fixed-width format, v3 (mmap-servable via hybridserve -mmap, serving index included), to this file")
+		export   = fs.String("export", "", "write the analysis snapshot (format v3, mmap-servable via hybridserve -mmap) to this file")
 		jsonOut  = fs.Bool("json", false, "print machine-readable JSON instead of tables")
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *v6List == "" || *v4List == "" {
-		fmt.Fprintln(stderr, "usage: hybridscan -irr irr.db -v4 a.mrt[,b.mrt] -v6 ribs6/ [-parallel N] [-progress] [-export out.bin] [-json]")
+		fmt.Fprintln(stderr, "usage: hybridscan -irr irr.db -v4 a.mrt[,b.mrt] -v6 ribs6/ [-parallel N] [-progress] [-export out.snap] [-json]")
 		return cli.ErrUsage
 	}
 
@@ -102,14 +101,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if !*jsonOut {
 			fmt.Fprintf(stdout, "snapshot exported to %s\n\n", *export)
-		}
-	}
-	if *exportV2 != "" {
-		if err := hybridrel.WriteSnapshotFileV2(*exportV2, analysis); err != nil {
-			return err
-		}
-		if !*jsonOut {
-			fmt.Fprintf(stdout, "fixed-width snapshot exported to %s\n\n", *exportV2)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,6 +132,26 @@ func TestRunJSONSchemaAndExport(t *testing.T) {
 	}
 	if len(snap.Hybrids) != g.Hybrid {
 		t.Errorf("exported snapshot has %d hybrids, want %d", len(snap.Hybrids), g.Hybrid)
+	}
+
+	// The export is the small world's v3 snapshot, byte for byte, and
+	// can be served in place.
+	raw, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(raw)
+	if got := h.Sum64(); got != golden.SmallSnapshotV3FNV {
+		t.Errorf("exported snapshot FNV-64a = %#016x, want golden v3 %#016x", got, golden.SmallSnapshotV3FNV)
+	}
+	mapped, err := hybridrel.MapSnapshot(snapPath)
+	if err != nil {
+		t.Fatalf("exported snapshot cannot be mapped: %v", err)
+	}
+	defer mapped.Close()
+	if err := mapped.Verify(); err != nil {
+		t.Errorf("mapped export fails Verify: %v", err)
 	}
 }
 

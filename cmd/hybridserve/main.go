@@ -1,14 +1,14 @@
 // Command hybridserve exposes hybrid-relationship analysis results
 // over the HTTP JSON API. It serves from one of three sources:
 //
-//   - an exported snapshot file (-snapshot out.bin), the production
+//   - an exported snapshot file (-snapshot out.snap), the production
 //     path: the batch pipeline (hybridscan -export) produces the
-//     artifact, hybridserve loads and indexes it; with -mmap a
-//     fixed-width artifact (hybridscan -export-v2, format v3) is
-//     memory-mapped and served in place together with its stored
-//     serving index — load time independent of snapshot size, and
-//     hot reloads unmap a retired generation only after its last
-//     in-flight reader finishes;
+//     artifact, hybridserve decodes it; with -mmap the artifact
+//     (format v3, or the older fixed-width v2) is memory-mapped and
+//     served in place together with its stored serving index — load
+//     time independent of snapshot size, and hot reloads unmap a
+//     retired generation only after its last in-flight reader
+//     finishes;
 //   - raw measurement data (-irr, -v4, -v6), running the v2 pipeline
 //     once at startup and serving the result;
 //   - a synthetic world (-synth small|default), handy for demos and
@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		snapPath   = fs.String("snapshot", "", "serve an exported snapshot file")
-		mmapOn     = fs.Bool("mmap", false, "memory-map the -snapshot file instead of decoding it (requires a fixed-width artifact from -export-v2; load time independent of size)")
+		mmapOn     = fs.Bool("mmap", false, "memory-map the -snapshot file instead of decoding it (a fixed-width v2 or v3 file, which is what hybridscan -export writes; load time independent of size)")
 		irrPath    = fs.String("irr", "", "IRR database (RPSL), pipeline mode")
 		v4List     = fs.String("v4", "", "comma-separated IPv4 MRT archives or directories, pipeline mode")
 		v6List     = fs.String("v6", "", "comma-separated IPv6 MRT archives or directories, pipeline mode")

@@ -254,39 +254,38 @@ func WithPipelineMetrics(m *PipelineMetrics) Option { return pipeline.WithMetric
 // a snapshot, forcing every memoized derivation.
 func CaptureSnapshot(a *Analysis) *Snapshot { return snapshot.Capture(a) }
 
-// WriteSnapshot captures a and encodes it to w with the versioned
-// binary codec (gzip-compressed). ReadSnapshot reproduces every
-// queryable product exactly.
-func WriteSnapshot(w io.Writer, a *Analysis) error { return snapshot.Write(w, a) }
+// WriteSnapshot captures a and encodes it to w in the snapshot format,
+// version 3: fixed-width little-endian sections, the serving index and
+// per-section CRC-32C checksums. ReadSnapshot reproduces every
+// queryable product exactly, and a file of these bytes can be served
+// in place with MapSnapshot.
+func WriteSnapshot(w io.Writer, a *Analysis) error {
+	return snapshot.EncodeV2(w, snapshot.Capture(a))
+}
 
-// WriteSnapshotFile writes a's snapshot to path atomically (temp file
-// + rename), so a serving process hot-reloading the path never sees a
-// half-written artifact.
-func WriteSnapshotFile(path string, a *Analysis) error { return snapshot.WriteFile(path, a) }
+// WriteSnapshotFile writes a's snapshot to path as WriteSnapshot
+// encodes it, atomically (temp file + rename), so a serving process
+// hot-reloading the path never sees a half-written artifact.
+func WriteSnapshotFile(path string, a *Analysis) error {
+	return snapshot.WriteFileV2(path, snapshot.Capture(a))
+}
 
-// ReadSnapshot decodes a snapshot. Malformed input — wrong file type,
-// a future format version, truncation, corruption — returns a
-// descriptive error, never a panic.
+// ReadSnapshot decodes a snapshot of any format version ever written
+// (1, 2 or 3). Malformed input — wrong file type, a future format
+// version, truncation, corruption — returns a descriptive error, never
+// a panic.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) { return snapshot.Read(r) }
 
 // OpenSnapshot reads a snapshot file.
 func OpenSnapshot(path string) (*Snapshot, error) { return snapshot.Open(path) }
-
-// WriteSnapshotFileV2 writes a's snapshot to path atomically in the
-// fixed-width format, version 3: little-endian sections, the serving
-// index and per-section CRC-32C checksums, which MapSnapshot can serve
-// in place without a decode pass. OpenSnapshot reads both
-// formats; version-1 consumers need WriteSnapshotFile.
-func WriteSnapshotFileV2(path string, a *Analysis) error {
-	return snapshot.WriteFileV2(path, snapshot.Capture(a))
-}
 
 // MapSnapshot memory-maps a fixed-width (v2 or v3) snapshot file and
 // serves its tables in place: load time is independent of snapshot
 // size and the resident set is only the pages queries actually touch. The caller
 // must Close the snapshot when done with it; a Server given a mapped
 // snapshot handles that across hot reloads. Version-1 files cannot be
-// mapped — re-export them with WriteSnapshotFileV2.
+// mapped — decode them with OpenSnapshot and re-export them with
+// WriteSnapshotFile.
 func MapSnapshot(path string) (*Snapshot, error) { return snapshot.Map(path) }
 
 // NewServer builds the HTTP serving layer over a snapshot; the

@@ -55,6 +55,13 @@ func Small() Numbers {
 	}
 }
 
+// SmallSnapshotV1FNV is the FNV-64a hash of the canonical small
+// world's snapshot in format v1, uncompressed, as the retired
+// version-1 encoder wrote it: the committed
+// internal/snapshot/testdata/small.snap1, which keeps the v1 read path
+// pinned.
+const SmallSnapshotV1FNV uint64 = 0xcb83252e40e9d2e6
+
 // SmallSnapshotV2FNV is the FNV-64a hash of the canonical small
 // world's snapshot in format v2 (the version-2 encoder over
 // snapshot.Capture of the Small analysis). The headline numbers above

@@ -51,8 +51,8 @@ func TestPreLoadWindow(t *testing.T) {
 			t.Errorf("pre-load %s: status %d, want 503", url, code)
 		}
 	}
-	if srv.Snapshot() != nil {
-		t.Fatal("pre-load Snapshot() not nil")
+	if _, _, _, _, ok := srv.Summary(); ok || srv.Generation() != 0 {
+		t.Fatal("pre-load server reports an installed snapshot")
 	}
 
 	// The first reload makes the server ready.
@@ -101,7 +101,7 @@ func TestReloadTimeoutAgainstStallingLoader(t *testing.T) {
 		t.Errorf("stalled reload error %q does not mention the deadline", e.Error)
 	}
 	// The serving snapshot is untouched and generation did not advance.
-	if srv.Generation() != 1 || srv.Snapshot() != snap {
+	if srv.Generation() != 1 || !serves(srv, snap) {
 		t.Fatalf("stalled reload disturbed serving state (gen %d)", srv.Generation())
 	}
 	if code := get(t, srv, "GET", "/v1/stats", nil); code != http.StatusOK {
@@ -113,7 +113,7 @@ func TestReloadTimeoutAgainstStallingLoader(t *testing.T) {
 	if code := get(t, srv, "POST", "/v1/reload", nil); code != http.StatusOK {
 		t.Fatalf("follow-up reload: status %d", code)
 	}
-	if srv.Snapshot() != alt {
+	if srv.Generation() != 2 || !serves(srv, alt) {
 		t.Fatal("follow-up reload did not install the new snapshot")
 	}
 }

@@ -312,26 +312,11 @@ func (s *Server) Load(snap *snapshot.Snapshot) {
 // Generation returns the number of snapshots installed so far.
 func (s *Server) Generation() uint64 { return s.generation.Load() }
 
-// Snapshot returns the currently installed snapshot, or nil if none
-// has been loaded yet.
-//
-// Caution with mmap-backed snapshots (snapshot.Map): the returned
-// pointer borrows the installed state without a reference, so a
-// subsequent Load may retire — and unmap — it while the caller still
-// holds it. Callers that only need headline sizes should use Summary,
-// which takes a reference for the duration of the read.
-func (s *Server) Snapshot() *snapshot.Snapshot {
-	if st := s.state.Load(); st != nil {
-		return st.snap
-	}
-	return nil
-}
-
 // Summary reports the installed snapshot's headline sizes — distinct
 // ASNs, per-plane link counts, hybrid count — without lending out the
-// snapshot itself. ok is false before the first load. Unlike Snapshot,
-// Summary is safe to call concurrently with hot reloads of mmap-backed
-// snapshots: it holds a reference while it reads.
+// snapshot itself. ok is false before the first load. Summary is safe
+// to call concurrently with hot reloads of mmap-backed snapshots: it
+// holds a reference while it reads.
 func (s *Server) Summary() (asns, links4, links6, hybrids int, ok bool) {
 	st := s.acquireState()
 	if st == nil {

@@ -62,6 +62,13 @@ func fixtures(t testing.TB) (*core.Analysis, *snapshot.Snapshot, *snapshot.Snaps
 	return fixtureA, fixtureSnap, fixtureAlt
 }
 
+// serves reports whether srv's installed snapshot has snap's headline
+// sizes; the fixture snapshots differ in every one of them.
+func serves(srv *Server, snap *snapshot.Snapshot) bool {
+	_, links4, links6, hybrids, ok := srv.Summary()
+	return ok && links4 == len(snap.Links4) && links6 == len(snap.Links6) && hybrids == len(snap.Hybrids)
+}
+
 // get performs a request against the handler and decodes the JSON body.
 func get(t *testing.T, h http.Handler, method, url string, out any) int {
 	t.Helper()
@@ -508,7 +515,7 @@ func TestReloadEndpoint(t *testing.T) {
 	if code := get(t, srv, "POST", "/v1/reload", &health); code != http.StatusOK {
 		t.Fatalf("reload: status %d", code)
 	}
-	if calls.Load() != 1 || srv.Snapshot() != alt {
+	if calls.Load() != 1 || srv.Generation() != 2 || !serves(srv, alt) {
 		t.Error("reload did not install the source's snapshot")
 	}
 	if health.Hybrids != len(alt.Hybrids) {
@@ -522,7 +529,7 @@ func TestReloadEndpoint(t *testing.T) {
 	if code := get(t, failing, "POST", "/v1/reload", &e); code != http.StatusInternalServerError {
 		t.Errorf("failing source: status %d", code)
 	}
-	if failing.Snapshot() != snap {
+	if failing.Generation() != 1 || !serves(failing, snap) {
 		t.Error("failed reload replaced the serving snapshot")
 	}
 	var stats StatsResponse

@@ -20,10 +20,7 @@ const (
 
 // TinyV3 is the fuzz corpus's miniature world in the current
 // fixed-width encoding.
-func TinyV3(t testing.TB) []byte {
-	_, _, v3 := tinySnapshots(t)
-	return v3
-}
+func TinyV3(t testing.TB) []byte { return tinyV3(t) }
 
 // SectionRecords returns the byte offset and record count of section i
 // of the fixed-width artifact b.

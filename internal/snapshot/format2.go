@@ -1,13 +1,14 @@
 package snapshot
 
-// The fixed-width, mmap-able layout: format version 3 (written) and
-// version 2 (read forever).
+// The fixed-width, mmap-able layout: format version 3, the only
+// version any writer in this package produces, and version 2 (read
+// forever).
 //
-// Version 1 is a varint stream — compact on the wire, but decoding is
-// inherently sequential and materializes every entry on the heap, so
-// serve load time and RSS grow linearly with world size. The
-// fixed-width versions trade ~2× wire size for direct
-// reinterpretation: every section is an array of fixed-width
+// Version 1 (snapshot.go, read-only) is a varint stream — compact on
+// the wire, but decoding is inherently sequential and materializes
+// every entry on the heap, so serve load time and RSS grow linearly
+// with world size. The fixed-width versions trade ~2× wire size for
+// direct reinterpretation: every section is an array of fixed-width
 // little-endian records whose byte layout equals the Go in-memory
 // layout on little-endian 64-bit machines (asserted at compile time in
 // alias_le64.go), and a section-offset directory in the header makes
@@ -78,6 +79,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"hybridrel/internal/asrel"
@@ -150,19 +153,47 @@ func specOf(version uint16) (fixedSpec, bool) {
 
 func (f fixedSpec) headerSize() int { return 8 + f.nsec*f.entry }
 
-// WriteFileV2 writes s to path in the current fixed-width format
-// (version 3) with the same atomic temp-and-rename discipline as
-// WriteFile.
+// WriteFileV2 writes s to path in the current format, version 3,
+// atomically: the bytes land in a temporary sibling first and are
+// renamed into place, so a server hot-reloading the file never
+// observes a half-written artifact.
 func WriteFileV2(path string, s *Snapshot) error {
-	return encodeFileWith(path, s, EncodeV2)
+	// A unique temp sibling keeps concurrent exports to the same path
+	// from clobbering each other's in-progress bytes; Sync before the
+	// rename so a crash can't leave a durable name over absent data.
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	tmp := f.Name()
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := EncodeV2(f, s); err != nil {
+		return fail(err)
+	}
+	if err := f.Sync(); err != nil {
+		return fail(fmt.Errorf("snapshot: %w", err))
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	return nil
 }
 
 // EncodeV2 serializes s in the current fixed-width format, version 3,
 // building s's serving index if it has none yet. The encoding is
 // canonical — fixed section order, fixed offsets for given counts,
 // zero padding, sorted census classes, an index that is a function of
-// the products — so equal snapshots produce identical bytes, exactly
-// like the v1 encoding.
+// the products — so equal snapshots produce identical bytes, and Bytes
+// equality is equality of every product.
 func EncodeV2(w io.Writer, s *Snapshot) error {
 	src := sectionSource{s: s, ix: s.Index(), words: v2StatsWords(s)}
 	var offs [numSections]int
@@ -405,7 +436,7 @@ func (e *encoderV2) hybrid(h core.HybridLink) {
 }
 
 // v2StatsWords flattens the headline statistics into the stats-section
-// word sequence (census classes sorted, matching the v1 encoder).
+// word sequence, census classes sorted.
 func v2StatsWords(s *Snapshot) []uint64 {
 	c, cs, v, vs := s.Coverage, s.Census, s.Visibility, s.Valley
 	classes := make([]asrel.HybridClass, 0, len(cs.ByClass))

@@ -1,10 +1,9 @@
 package snapshot
 
-// Format-v2 tests: round-trip identity through the strict decoder, the
-// canonical-bytes property, Map serving the same answers as Open from
-// an aliased mapping, the v1↔v2 cross-version oracle (both decodes
-// yield the same canonical v1 bytes), the v2 failure-mode catalogue,
-// and the byte-offset error context Open now reports.
+// Fixed-width format tests: round-trip identity through the strict
+// decoder, the canonical-bytes property, Map serving the same answers
+// as Open from an aliased mapping, the v2/v3 failure-mode catalogue,
+// and the byte-offset error context Open reports.
 
 import (
 	"bytes"
@@ -45,21 +44,6 @@ func TestV2RoundTripIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSnapshotsEqual(t, want, got)
-
-	// Cross-version oracle: the canonical v1 bytes of the v2-decoded
-	// snapshot equal the canonical v1 bytes of the original. Bytes()
-	// equality is the repository-wide definition of "the same results".
-	wantV1, err := Bytes(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotV1, err := Bytes(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantV1, gotV1) {
-		t.Error("v2 round trip changed the canonical v1 encoding")
-	}
 }
 
 func TestV2EncodeIsCanonical(t *testing.T) {
@@ -90,16 +74,16 @@ func TestMapServesInPlace(t *testing.T) {
 	}
 	assertSnapshotsEqual(t, want, m)
 	// Every product answers identically through the mapped form: the
-	// canonical v1 bytes re-encoded from the aliased slices must match.
-	wantV1, err := Bytes(want)
+	// canonical bytes re-encoded from the aliased slices must match.
+	wantBytes, err := Bytes(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotV1, err := Bytes(m)
+	gotBytes, err := Bytes(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(wantV1, gotV1) {
+	if !bytes.Equal(wantBytes, gotBytes) {
 		t.Error("mapped snapshot re-encodes differently from the original")
 	}
 	for _, h := range want.Hybrids {
@@ -124,18 +108,15 @@ func TestMapServesInPlace(t *testing.T) {
 }
 
 func TestMapRejectsV1(t *testing.T) {
-	a := analysis(t)
-	path := filepath.Join(t.TempDir(), "world.snap")
-	if err := WriteFile(path, a); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Map(path)
-	if err == nil {
-		t.Fatal("Map accepted a version-1 snapshot")
-	}
-	for _, sub := range []string{"cannot be mapped", path} {
-		if !strings.Contains(err.Error(), sub) {
-			t.Errorf("error %q does not mention %q", err, sub)
+	for _, path := range []string{smallV1, smallV1GZ} {
+		_, err := Map(path)
+		if err == nil {
+			t.Fatalf("Map accepted the version-1 snapshot %s", path)
+		}
+		for _, sub := range []string{"cannot be mapped", path} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("error %q does not mention %q", err, sub)
+			}
 		}
 	}
 }
@@ -297,13 +278,9 @@ func TestV2FailureModes(t *testing.T) {
 // TestOpenReportsPathAndOffset pins the satellite contract: a
 // truncated artifact names the file and the payload byte position.
 func TestOpenReportsPathAndOffset(t *testing.T) {
-	s := Capture(analysis(t))
-	var buf bytes.Buffer
-	if err := Encode(&buf, s, false); err != nil {
-		t.Fatal(err)
-	}
+	v1 := v1Fixture(t, smallV1)
 	path := filepath.Join(t.TempDir(), "trunc.snap")
-	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()*2/3], 0o644); err != nil {
+	if err := os.WriteFile(path, v1[:len(v1)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Open(path)

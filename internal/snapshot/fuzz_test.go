@@ -2,19 +2,20 @@ package snapshot
 
 // Native fuzz target for snapshot.Read — the third untrusted decoder,
 // covering every wire format. Beyond "never panic", the target enforces
-// two differential oracles: whatever Read accepts must re-encode and
-// re-decode to a stable form (Encode(Read(x)) is a fixed point), and
-// the cross-version oracle — re-encoding the accepted snapshot in the
-// fixed-width format and decoding that must yield the same canonical
-// v1 bytes. Fixed-width seeds exercise the strict decoder: valid
-// artifacts, header/offset-directory corruption, misaligned sections,
-// truncation, a section checksum mismatch, and a stored index that
-// differs from the builder's. The committed seed corpus under
+// a differential oracle: whatever Read accepts must re-encode to v3
+// bytes that decode and re-encode to the same bytes (EncodeV2(Read(x))
+// is a fixed point). For a version-1 or version-2 input that is the
+// cross-version oracle: its products survive the trip into the current
+// format unchanged. Fixed-width seeds exercise the strict decoder:
+// valid artifacts, header/offset-directory corruption, misaligned
+// sections, truncation, a section checksum mismatch, and a stored index
+// that differs from the builder's. The committed seed corpus under
 // testdata/fuzz/FuzzRead is generated from a tiny testutil world
-// (regenerate with WRITE_FUZZ_CORPUS=1 go test -run
-// TestWriteFuzzCorpus); its seed-v2* files were written by the
-// version-2 encoder and are kept as they are, since that encoder no
-// longer exists.
+// (regenerate its seed-v3* files with WRITE_FUZZ_CORPUS=1 go test -run
+// TestWriteFuzzCorpus). Its seed-raw, seed-gzip and seed-raw-truncated
+// files hold version-1 bytes and its seed-v2* files version-2 bytes;
+// both were written by encoders that no longer exist and are kept as
+// they are.
 //
 // Run locally with:
 //
@@ -33,9 +34,9 @@ import (
 	"hybridrel/internal/testutil"
 )
 
-// tinySnapshots encodes a miniature world's snapshot raw, compressed,
-// and in the fixed-width format (v3) for fuzz seeds.
-func tinySnapshots(t testing.TB) (raw, gz, v3 []byte) {
+// tinyV3 encodes a miniature world's snapshot in the current format
+// for fuzz seeds.
+func tinyV3(t testing.TB) []byte {
 	t.Helper()
 	cfg := gen.SmallConfig()
 	cfg.NumASes = 48
@@ -49,18 +50,11 @@ func tinySnapshots(t testing.TB) (raw, gz, v3 []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Capture(core.Analyze(w.D4, w.D6, w.Dict, core.DefaultOptions()))
-	var rawBuf, gzBuf, v3Buf bytes.Buffer
-	if err := Encode(&rawBuf, s, false); err != nil {
+	v3, err := Bytes(Capture(core.Analyze(w.D4, w.D6, w.Dict, core.DefaultOptions())))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Encode(&gzBuf, s, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeV2(&v3Buf, s); err != nil {
-		t.Fatal(err)
-	}
-	return rawBuf.Bytes(), gzBuf.Bytes(), v3Buf.Bytes()
+	return v3
 }
 
 // badCRC flips one record byte of the ipv4 links section without
@@ -89,20 +83,18 @@ func badIndex(t testing.TB, v3 []byte) []byte {
 }
 
 func FuzzRead(f *testing.F) {
-	raw, gz, v3 := tinySnapshots(f)
+	// Version-1 seeds: the committed small-world encodings, a
+	// truncation, a bare header, garbage, and an empty-but-valid
+	// payload with zero counts for every section.
+	raw := v1Fixture(f, smallV1)
 	f.Add(raw)
-	f.Add(gz)
+	f.Add(v1Fixture(f, smallV1GZ))
 	f.Add(raw[:len(raw)/2])
 	f.Add(raw[:7])
 	f.Add([]byte("HYBS\x00\x01\x00"))
 	f.Add([]byte("not a snapshot at all"))
-	// An empty-but-valid payload: zero counts for every section.
-	empty := &Snapshot{}
-	var emptyBuf bytes.Buffer
-	if err := Encode(&emptyBuf, empty, false); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(emptyBuf.Bytes())
+	f.Add(emptyV1())
+	v3 := tinyV3(f)
 	// Fixed-width seeds: a valid artifact, truncations landing inside
 	// the directory and inside a section, a corrupted directory offset,
 	// a misaligned section offset, a checksum mismatch, a corrupt stored
@@ -118,11 +110,11 @@ func FuzzRead(f *testing.F) {
 	f.Add(misaligned)
 	f.Add(badCRC(f, v3))
 	f.Add(badIndex(f, v3))
-	var emptyV3 bytes.Buffer
-	if err := EncodeV2(&emptyV3, empty); err != nil {
+	emptyV3, err := Bytes(&Snapshot{})
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(emptyV3.Bytes())
+	f.Add(emptyV3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Read(bytes.NewReader(data))
@@ -140,54 +132,34 @@ func FuzzRead(f *testing.F) {
 
 		// Differential oracle: an accepted snapshot re-encodes, and the
 		// re-encoded bytes decode to a snapshot that re-encodes to the
-		// same bytes — the codec is a fixed point on its own output.
-		var first bytes.Buffer
-		if err := Encode(&first, s, false); err != nil {
+		// same bytes — whichever version the input was.
+		first, err := Bytes(s)
+		if err != nil {
 			t.Fatalf("re-encode of accepted snapshot failed: %v", err)
 		}
-		s2, err := Read(bytes.NewReader(first.Bytes()))
+		s2, err := Read(bytes.NewReader(first))
 		if err != nil {
 			t.Fatalf("decode of re-encoded snapshot failed: %v", err)
 		}
-		var second bytes.Buffer
-		if err := Encode(&second, s2, false); err != nil {
+		second, err := Bytes(s2)
+		if err != nil {
 			t.Fatalf("second re-encode failed: %v", err)
 		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("codec is not a fixed point: %d vs %d bytes", first.Len(), second.Len())
-		}
-
-		// Cross-version oracle: re-encoding the accepted snapshot in
-		// the fixed-width format and strictly decoding that must
-		// round-trip back to the same canonical v1 bytes, whichever
-		// version the input was.
-		var asV3 bytes.Buffer
-		if err := EncodeV2(&asV3, s); err != nil {
-			t.Fatalf("v3 re-encode of accepted snapshot failed: %v", err)
-		}
-		s3, err := Read(bytes.NewReader(asV3.Bytes()))
-		if err != nil {
-			t.Fatalf("decode of v3 re-encoded snapshot failed: %v", err)
-		}
-		var third bytes.Buffer
-		if err := Encode(&third, s3, false); err != nil {
-			t.Fatalf("v1 re-encode after v3 round trip failed: %v", err)
-		}
-		if !bytes.Equal(first.Bytes(), third.Bytes()) {
-			t.Fatalf("v1↔v3 cross-version oracle violated: %d vs %d bytes", first.Len(), third.Len())
+		if !bytes.Equal(first, second) {
+			t.Fatalf("codec is not a fixed point: %d vs %d bytes", len(first), len(second))
 		}
 	})
 }
 
-// TestWriteFuzzCorpus regenerates the committed seed corpus. Gated
+// TestWriteFuzzCorpus regenerates the committed seed-v3* files. Gated
 // behind WRITE_FUZZ_CORPUS so normal runs never touch the files. The
-// seed-v2* files are not written: they hold version-2 bytes, which
-// nothing here encodes any more.
+// version-1 and version-2 seeds are not written: nothing here encodes
+// those versions any more.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the seed corpus")
 	}
-	raw, gz, v3 := tinySnapshots(t)
+	v3 := tinyV3(t)
 	dir := filepath.Join("testdata", "fuzz", "FuzzRead")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -198,9 +170,6 @@ func TestWriteFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("seed-raw", raw)
-	write("seed-gzip", gz)
-	write("seed-raw-truncated", raw[:len(raw)/3])
 	write("seed-v3", v3)
 	write("seed-v3-truncated", v3[:len(v3)/3])
 	write("seed-v3-badcrc", badCRC(t, v3))

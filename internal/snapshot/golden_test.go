@@ -24,10 +24,14 @@ import (
 	"hybridrel/internal/testutil"
 )
 
-// smallV2 is the small world's snapshot as the version-2 encoder wrote
-// it, committed so the v2 read path stays pinned now that nothing
-// writes v2.
-const smallV2 = "testdata/small.snap2"
+// The small world's snapshot as the retired version-1 (raw and
+// gzipped) and version-2 encoders wrote it, committed so the v1 and v2
+// read paths stay pinned now that nothing writes either version.
+const (
+	smallV1   = "testdata/small.snap1"
+	smallV1GZ = "testdata/small.snap1.gz"
+	smallV2   = "testdata/small.snap2"
+)
 
 func fnv64a(b []byte) uint64 {
 	h := fnv.New64a()
@@ -36,11 +40,11 @@ func fnv64a(b []byte) uint64 {
 }
 
 // TestGoldenDecodedHeadlines pins the shared golden headline numbers,
-// the small world's v2 bytes (the committed file) and v3 bytes (the
-// current encoder), that a decoded snapshot reports the same numbers
-// as the live pipeline's accessors, and that the v2 file — read or
-// mapped — serves every endpoint byte-identically to the captured
-// snapshot and to a mapped v3 file.
+// the small world's v1 and v2 bytes (the committed files) and v3 bytes
+// (the current encoder), that a decoded snapshot reports the same
+// numbers as the live pipeline's accessors, and that the v1 file read
+// and the v2 file read or mapped serve every endpoint byte-identically
+// to the captured snapshot and to a mapped v3 file.
 func TestGoldenDecodedHeadlines(t *testing.T) {
 	w, err := testutil.BuildWorld(gen.SmallConfig())
 	if err != nil {
@@ -50,6 +54,13 @@ func TestGoldenDecodedHeadlines(t *testing.T) {
 	golden.AssertSmall(t, a)
 	captured := snapshot.Capture(a)
 
+	v1, err := os.ReadFile(smallV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fnv64a(v1); got != golden.SmallSnapshotV1FNV {
+		t.Errorf("%s FNV-64a = %#016x, want golden %#016x", smallV1, got, golden.SmallSnapshotV1FNV)
+	}
 	v2, err := os.ReadFile(smallV2)
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +76,7 @@ func TestGoldenDecodedHeadlines(t *testing.T) {
 		t.Errorf("small-world v3 snapshot FNV-64a = %#016x, want golden %#016x", got, golden.SmallSnapshotV3FNV)
 	}
 
-	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	s, err := snapshot.Read(&buf)
+	s, err := snapshot.Open(smallV1GZ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +101,10 @@ func TestGoldenDecodedHeadlines(t *testing.T) {
 		}
 	}
 
+	readV1, err := snapshot.Read(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatalf("Read %s: %v", smallV1, err)
+	}
 	readV2, err := snapshot.Read(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatalf("Read %s: %v", smallV2, err)
@@ -117,7 +128,7 @@ func TestGoldenDecodedHeadlines(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		snap *snapshot.Snapshot
-	}{{"Read(v2)", readV2}, {"Map(v2)", mappedV2}, {"Map(v3)", mappedV3}} {
+	}{{"Read(v1)", readV1}, {"Read(v2)", readV2}, {"Map(v2)", mappedV2}, {"Map(v3)", mappedV3}} {
 		got := endpointResponses(t, captured, c.snap)
 		for i := range want {
 			if got[i] != want[i] {

@@ -57,7 +57,7 @@ func Map(path string) (*Snapshot, error) {
 	if _, err := f.ReadAt(tail, int64(size-len(trailer))); err != nil {
 		return fail(fmt.Errorf("snapshot: map: read trailer: %w", err))
 	}
-	if string(head[:4]) == magic && binary.BigEndian.Uint16(head[4:6]) == Version {
+	if string(head[:4]) == magic && binary.BigEndian.Uint16(head[4:6]) == Version1 {
 		return fail(fmt.Errorf("snapshot: map: version 1 snapshot cannot be mapped; load it with Open, or re-export it in format version 3"))
 	}
 	lay, err := parseFixed(head, tail, size)

@@ -7,10 +7,15 @@
 // indexes, and hot-reloads — classification results become a reusable
 // dataset instead of an in-process struct that dies with the run.
 //
-// # Wire format (version 1)
+// Every writer — EncodeV2, WriteFileV2, Bytes — produces the
+// fixed-width, mmap-able version 3, documented and implemented in
+// format2.go together with the read-only version 2. This file holds
+// the Snapshot type, Capture, and the decoder for version 1.
+//
+// # Wire format (version 1, read-only)
 //
 //	magic   "HYBS"                      4 bytes
-//	version uint16 big-endian           currently 1
+//	version uint16 big-endian           1
 //	flags   uint8                       bit 0: payload is gzip-compressed
 //	payload sections, in order:
 //	  rel4, rel6      each: uvarint n, then n × (uvarint lo, uvarint hi, byte rel)
@@ -26,26 +31,20 @@
 //
 // Table and link entries are sorted by canonical key; the hybrid list
 // keeps its visibility ordering. Decoding validates the magic, rejects
-// versions newer than this package writes (forward compatibility is a
+// versions newer than this package reads (forward compatibility is a
 // reader upgrade, never a silent misparse), bounds every count, and
 // wraps every failure in a descriptive error — corrupted or truncated
 // input returns an error, never panics.
-//
-// The fixed-width little-endian layouts built for mmap serving —
-// version 2, and version 3, which adds the serving index and
-// per-section CRC-32C checksums — are documented and implemented in
-// format2.go.
 //
 // # Version policy
 //
 // Read and Open decode every version ever written — 1, 2 and 3 —
 // forever; a file newer than this package is rejected with an error
-// naming both versions, never misparsed. Encode keeps writing version
-// 1 (the portable interchange form); EncodeV2 and WriteFileV2 write
-// the current fixed-width version, 3. Map serves version-2 and
-// version-3 files in place without a decode pass; only version 3
-// carries the serving index, so a mapped version-2 file builds it once
-// on install.
+// naming both versions, never misparsed. Only the current version, 3,
+// is written. Map serves version-2 and version-3 files in place
+// without a decode pass; only version 3 carries the serving index, so
+// a mapped version-2 file builds it once on install. A version-1 file
+// cannot be mapped: decode it with Open and re-export it.
 package snapshot
 
 import (
@@ -57,8 +56,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/core"
@@ -67,9 +64,9 @@ import (
 )
 
 const (
-	// Version is the varint format version Encode writes; EncodeV2
+	// Version1 is the varint format version, read-only now; EncodeV2
 	// writes the fixed-width Version3.
-	Version = 1
+	Version1 = 1
 
 	magic   = "HYBS"
 	trailer = "SBYH"
@@ -184,229 +181,16 @@ func Capture(a *core.Analysis) *Snapshot {
 	return s
 }
 
-// Write captures a and encodes it gzip-compressed. It is the standard
-// export path: Read(Write(a)) reproduces every queryable product.
-func Write(w io.Writer, a *core.Analysis) error {
-	return Encode(w, Capture(a), true)
-}
-
-// WriteFile writes a's snapshot to path atomically: the bytes land in
-// a temporary sibling first and are renamed into place, so a server
-// hot-reloading the file never observes a half-written artifact.
-func WriteFile(path string, a *core.Analysis) error {
-	return encodeFile(path, Capture(a))
-}
-
-func encodeFile(path string, s *Snapshot) error {
-	return encodeFileWith(path, s, func(w io.Writer, s *Snapshot) error {
-		return Encode(w, s, true)
-	})
-}
-
-func encodeFileWith(path string, s *Snapshot, enc func(io.Writer, *Snapshot) error) error {
-	// A unique temp sibling keeps concurrent exports to the same path
-	// from clobbering each other's in-progress bytes; Sync before the
-	// rename so a crash can't leave a durable name over absent data.
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := enc(f, s); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("snapshot: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return nil
-}
-
-// Bytes encodes the snapshot uncompressed into memory. The encoding
-// is canonical (sorted tables, no timestamps), so equality of Bytes
-// output is the repository-wide definition of "the same results" —
-// the live-vs-batch and parallelism invariants all compare it.
+// Bytes encodes the snapshot into memory in the current format,
+// version 3. The encoding is canonical (see EncodeV2), so equality of
+// Bytes output is the repository-wide definition of "the same results"
+// — the live-vs-batch and parallelism invariants all compare it.
 func Bytes(s *Snapshot) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := Encode(&buf, s, false); err != nil {
+	if err := EncodeV2(&buf, s); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// Encode serializes s. With compress set the payload is gzipped
-// (typically 3-5× smaller); the header stays uncompressed either way
-// so readers can sniff the format without touching zlib.
-func Encode(w io.Writer, s *Snapshot, compress bool) error {
-	bw := bufio.NewWriter(w)
-	flags := byte(0)
-	if compress {
-		flags |= flagGzip
-	}
-	if _, err := bw.WriteString(magic); err != nil {
-		return fmt.Errorf("snapshot: write header: %w", err)
-	}
-	var vbuf [2]byte
-	binary.BigEndian.PutUint16(vbuf[:], Version)
-	bw.Write(vbuf[:])
-	bw.WriteByte(flags)
-
-	payload := io.Writer(bw)
-	var gz *gzip.Writer
-	if compress {
-		gz = gzip.NewWriter(bw)
-		payload = gz
-	}
-	e := &encoder{w: bufio.NewWriter(payload)}
-	e.table(s.Rel4)
-	e.table(s.Rel6)
-	e.links(s.Links4)
-	e.links(s.Links6)
-	e.hybrids(s.Hybrids)
-	e.coverage(s.Coverage)
-	e.census(s.Census)
-	e.visibility(s.Visibility)
-	e.valley(s.Valley)
-	e.str(trailer)
-	if e.err != nil {
-		return fmt.Errorf("snapshot: encode: %w", e.err)
-	}
-	if err := e.w.Flush(); err != nil {
-		return fmt.Errorf("snapshot: encode: %w", err)
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return fmt.Errorf("snapshot: gzip: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("snapshot: flush: %w", err)
-	}
-	return nil
-}
-
-// encoder writes the payload with a sticky error.
-type encoder struct {
-	w   *bufio.Writer
-	err error
-	buf [binary.MaxVarintLen64]byte
-}
-
-func (e *encoder) uvarint(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
-
-func (e *encoder) byte(b byte) {
-	if e.err != nil {
-		return
-	}
-	e.err = e.w.WriteByte(b)
-}
-
-func (e *encoder) str(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.WriteString(s)
-}
-
-func (e *encoder) float(f float64) {
-	if e.err != nil {
-		return
-	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], math.Float64bits(f))
-	_, e.err = e.w.Write(b[:])
-}
-
-func (e *encoder) key(k asrel.LinkKey) {
-	e.uvarint(uint64(k.Lo))
-	e.uvarint(uint64(k.Hi))
-}
-
-// table writes a frozen relationship table as one in-order scan — the
-// interned form is already sorted by canonical key, so no key slice is
-// materialized and nothing is re-sorted.
-func (e *encoder) table(t *intern.Table) {
-	if t == nil {
-		e.uvarint(0)
-		return
-	}
-	e.uvarint(uint64(t.Len()))
-	t.Each(func(k asrel.LinkKey, r asrel.Rel) {
-		e.key(k)
-		e.byte(byte(r))
-	})
-}
-
-func (e *encoder) links(ls []Link) {
-	e.uvarint(uint64(len(ls)))
-	for _, l := range ls {
-		e.key(l.Key)
-		e.uvarint(uint64(l.Visibility))
-	}
-}
-
-func (e *encoder) hybrids(hs []core.HybridLink) {
-	e.uvarint(uint64(len(hs)))
-	for _, h := range hs {
-		e.key(h.Key)
-		e.byte(byte(h.V4))
-		e.byte(byte(h.V6))
-		e.byte(byte(h.Class))
-		e.uvarint(uint64(h.Visibility))
-	}
-}
-
-func (e *encoder) coverage(c core.Coverage) {
-	for _, v := range []int{c.Paths6, c.Links6, c.Links4, c.DualStack,
-		c.Classified6, c.ClassifiedDual, c.ClassifiedDualBoth} {
-		e.uvarint(uint64(v))
-	}
-}
-
-func (e *encoder) census(c core.HybridCensus) {
-	e.uvarint(uint64(c.DualClassified))
-	e.uvarint(uint64(c.Hybrid))
-	classes := make([]asrel.HybridClass, 0, len(c.ByClass))
-	for cl := range c.ByClass {
-		classes = append(classes, cl)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	e.uvarint(uint64(len(classes)))
-	for _, cl := range classes {
-		e.byte(byte(cl))
-		e.uvarint(uint64(c.ByClass[cl]))
-	}
-}
-
-func (e *encoder) visibility(v core.Visibility) {
-	e.uvarint(uint64(v.Paths))
-	e.uvarint(uint64(v.PathsWithHybrid))
-	e.float(v.MeanHybridEndpointDegree)
-	e.float(v.MeanDualEndpointDegree)
-}
-
-func (e *encoder) valley(s valley.Stats) {
-	for _, v := range []int{s.Total, s.ValleyFree, s.Valley, s.Unclassified, s.Necessary} {
-		e.uvarint(uint64(v))
-	}
 }
 
 // Open reads a snapshot file.
@@ -443,7 +227,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if version == 0 || version > Version3 {
 		return nil, fmt.Errorf("snapshot: file version %d is newer than the supported version %d; upgrade this binary or re-export the snapshot", version, Version3)
 	}
-	if version != Version {
+	if version != Version1 {
 		// The fixed-width formats are random-access by design; buffer the
 		// rest and hand the whole artifact to the strict decoder.
 		rest, err := io.ReadAll(r)

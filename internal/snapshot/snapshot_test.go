@@ -1,16 +1,19 @@
 package snapshot
 
-// Codec tests: round-trip identity over the small synthetic world (the
-// acceptance bar: Read(Write(a)) reproduces every queryable product
-// exactly), golden agreement between a decoded snapshot and the live
-// analysis, and the failure-mode catalogue — truncation at any byte,
-// bad magic, future versions, corrupted varints, invalid enum codes —
-// each of which must return a descriptive error and never panic.
+// Codec tests: the version-1 decoder over the committed v1 encodings
+// of the small synthetic world (testdata/small.snap1 and its gzip form
+// small.snap1.gz, written by the v1 encoder before it was retired) —
+// each must decode to the same products, and so the same Bytes, as
+// Capture of the world — plus the v1 failure-mode catalogue:
+// truncation at any byte, bad magic, future versions, corrupted
+// varints, invalid enum codes, each of which must return a descriptive
+// error and never panic.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -79,58 +82,60 @@ func assertSnapshotsEqual(t *testing.T, want, got *Snapshot) {
 	}
 }
 
+// The committed v1 encodings of the small world, raw and gzipped.
+const (
+	smallV1   = "testdata/small.snap1"
+	smallV1GZ = "testdata/small.snap1.gz"
+)
+
+// v1Fixture returns the committed v1 encoding at path.
+func v1Fixture(t testing.TB, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestRoundTripIdentity(t *testing.T) {
-	a := analysis(t)
-	want := Capture(a)
+	want := Capture(analysis(t))
 	if len(want.Hybrids) == 0 || len(want.Links6) == 0 || want.Rel6.Len() == 0 {
 		t.Fatal("small world produced an empty snapshot; the round trip would be vacuous")
 	}
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if err := Encode(&buf, want, compress); err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		got, err := Read(bytes.NewReader(buf.Bytes()))
+	wantBytes, err := Bytes(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{smallV1, smallV1GZ} {
+		got, err := Read(bytes.NewReader(v1Fixture(t, path)))
 		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
+			t.Fatalf("%s: %v", path, err)
 		}
 		assertSnapshotsEqual(t, want, got)
-		t.Logf("compress=%v: %d bytes for %d+%d rels, %d+%d links, %d hybrids",
-			compress, buf.Len(), want.Rel4.Len(), want.Rel6.Len(),
-			len(want.Links4), len(want.Links6), len(want.Hybrids))
+		gotBytes, err := Bytes(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Errorf("%s decodes to different Bytes than Capture of the small world", path)
+		}
 	}
 }
 
-func TestCompressionActuallyShrinks(t *testing.T) {
-	s := Capture(analysis(t))
-	var raw, gz bytes.Buffer
-	if err := Encode(&raw, s, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := Encode(&gz, s, true); err != nil {
-		t.Fatal(err)
-	}
-	if gz.Len() >= raw.Len() {
-		t.Errorf("gzip did not shrink the payload: %d >= %d", gz.Len(), raw.Len())
-	}
-}
-
-// TestCodecAllocs pins the allocation counts of the v1 codec on the
-// fixture snapshot, uncompressed so the codec is measured rather than
-// gzip. Both sides allocate a fixed set of buffers and headers, and
-// Read one slice per decoded section, so the counts do not grow with
-// the snapshot: a per-link allocation on either side exceeds its pin
-// by thousands.
+// TestCodecAllocs pins the allocation counts of the encoder and the v1
+// decoder on the fixture snapshot. EncodeV2 runs with the index
+// already built, so it allocates only its chunk buffer, header and
+// stats words; Read allocates one slice per decoded section. Neither
+// count grows with the snapshot: a per-record allocation on either
+// side exceeds its pin by thousands.
 func TestCodecAllocs(t *testing.T) {
-	const encodePin, readPin = 9, 20
+	const encodePin, readPin = 6, 20
 	s := Capture(analysis(t))
-	var buf bytes.Buffer
-	if err := Encode(&buf, s, false); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	s.Index()
+	data := v1Fixture(t, smallV1)
 	enc := testing.AllocsPerRun(20, func() {
-		if err := Encode(io.Discard, s, false); err != nil {
+		if err := EncodeV2(io.Discard, s); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -140,7 +145,7 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	})
 	if enc > encodePin {
-		t.Errorf("Encode allocates %.0f objects, pinned at %d", enc, encodePin)
+		t.Errorf("EncodeV2 allocates %.0f objects, pinned at %d", enc, encodePin)
 	}
 	if dec > readPin {
 		t.Errorf("Read allocates %.0f objects, pinned at %d", dec, readPin)
@@ -148,16 +153,16 @@ func TestCodecAllocs(t *testing.T) {
 }
 
 func TestWriteFileAndOpen(t *testing.T) {
-	a := analysis(t)
+	want := Capture(analysis(t))
 	path := t.TempDir() + "/world.snap"
-	if err := WriteFile(path, a); err != nil {
+	if err := WriteFileV2(path, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSnapshotsEqual(t, Capture(a), got)
+	assertSnapshotsEqual(t, want, got)
 	if _, err := Open(path + ".missing"); err == nil {
 		t.Error("Open of a missing file succeeded")
 	}
@@ -198,20 +203,20 @@ func TestFailureModes(t *testing.T) {
 		mustFail(t, "v0", header(0, 0), "newer than the supported version")
 	})
 	t.Run("unknown flags", func(t *testing.T) {
-		mustFail(t, "flags", header(Version, 0x80), "unknown flags")
+		mustFail(t, "flags", header(Version1, 0x80), "unknown flags")
 	})
 	t.Run("corrupted varint", func(t *testing.T) {
 		// Ten continuation bytes overflow any uvarint.
-		data := append(header(Version, 0), bytes.Repeat([]byte{0xFF}, 12)...)
+		data := append(header(Version1, 0), bytes.Repeat([]byte{0xFF}, 12)...)
 		mustFail(t, "varint", data, "rel4 table")
 	})
 	t.Run("implausible count", func(t *testing.T) {
-		data := header(Version, 0)
+		data := header(Version1, 0)
 		data = binary.AppendUvarint(data, 1<<40)
 		mustFail(t, "count", data, "implausible count")
 	})
 	t.Run("invalid relationship code", func(t *testing.T) {
-		data := header(Version, 0)
+		data := header(Version1, 0)
 		data = binary.AppendUvarint(data, 1) // one rel4 entry
 		data = binary.AppendUvarint(data, 1) // lo
 		data = binary.AppendUvarint(data, 2) // hi
@@ -219,7 +224,7 @@ func TestFailureModes(t *testing.T) {
 		mustFail(t, "rel", data, "invalid relationship code")
 	})
 	t.Run("non-canonical link", func(t *testing.T) {
-		data := header(Version, 0)
+		data := header(Version1, 0)
 		data = binary.AppendUvarint(data, 1)
 		data = binary.AppendUvarint(data, 9) // lo > hi
 		data = binary.AppendUvarint(data, 2)
@@ -227,7 +232,7 @@ func TestFailureModes(t *testing.T) {
 		mustFail(t, "canon", data, "canonical order")
 	})
 	t.Run("unsorted rel table", func(t *testing.T) {
-		data := header(Version, 0)
+		data := header(Version1, 0)
 		data = binary.AppendUvarint(data, 2)
 		data = binary.AppendUvarint(data, 5) // 5-6 first...
 		data = binary.AppendUvarint(data, 6)
@@ -242,7 +247,7 @@ func TestFailureModes(t *testing.T) {
 		// order: the serving layer binary-searches the section in
 		// place, so the decoder must reject it, exactly like the rel
 		// tables.
-		data := header(Version, 0)
+		data := header(Version1, 0)
 		data = binary.AppendUvarint(data, 0) // rel4
 		data = binary.AppendUvarint(data, 0) // rel6
 		data = binary.AppendUvarint(data, 2) // links4: two entries
@@ -255,7 +260,7 @@ func TestFailureModes(t *testing.T) {
 		mustFail(t, "unsorted-links", data, "out of canonical order")
 	})
 	t.Run("duplicate link", func(t *testing.T) {
-		data := header(Version, 0)
+		data := header(Version1, 0)
 		data = binary.AppendUvarint(data, 0)
 		data = binary.AppendUvarint(data, 0)
 		data = binary.AppendUvarint(data, 2)
@@ -267,22 +272,18 @@ func TestFailureModes(t *testing.T) {
 		mustFail(t, "dup-link", data, "out of canonical order")
 	})
 	t.Run("garbage gzip payload", func(t *testing.T) {
-		data := append(header(Version, 1), []byte("definitely not gzip")...)
+		data := append(header(Version1, 1), []byte("definitely not gzip")...)
 		mustFail(t, "gzip", data, "gzip")
 	})
 }
 
-// TestTruncationAtEveryPrefix decodes prefixes of a valid snapshot:
-// every strict prefix must produce an error (the trailer sentinel makes
-// even clean section-boundary cuts detectable) and none may panic.
+// TestTruncationAtEveryPrefix decodes prefixes of a valid v1 snapshot,
+// raw and gzipped: every strict prefix must produce an error (the
+// trailer sentinel makes even clean section-boundary cuts detectable)
+// and none may panic.
 func TestTruncationAtEveryPrefix(t *testing.T) {
-	s := Capture(analysis(t))
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if err := Encode(&buf, s, compress); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
+	for _, path := range []string{smallV1, smallV1GZ} {
+		data := v1Fixture(t, path)
 		// Every byte of the header and first sections, then sampled
 		// offsets through the body, then the final bytes.
 		cuts := map[int]bool{}
@@ -299,93 +300,59 @@ func TestTruncationAtEveryPrefix(t *testing.T) {
 		}
 		for cut := range cuts {
 			if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
-				t.Fatalf("compress=%v: truncation at %d/%d decoded successfully", compress, cut, len(data))
+				t.Fatalf("%s: truncation at %d/%d decoded successfully", path, cut, len(data))
 			}
 		}
 	}
 }
 
 func TestTrailingGarbage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, Capture(analysis(t)), false); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte('x')
-	mustFail(t, "trailing", buf.Bytes(), "trailing garbage")
+	mustFail(t, "trailing", append(v1Fixture(t, smallV1), 'x'), "trailing garbage")
 }
 
-// TestEmptySnapshot round-trips the degenerate artifact: no links, no
+// emptyV1 is the v1 encoding of the degenerate snapshot: no links, no
 // hybrids, zero stats.
+func emptyV1() []byte {
+	data := header(Version1, 0)
+	data = append(data, make([]byte, 5+7+3+2)...) // five sections, coverage, census, visibility counts
+	data = append(data, make([]byte, 16)...)      // two Float64bits(0)
+	data = append(data, make([]byte, 5)...)       // valley
+	return append(data, "SBYH"...)
+}
+
+// TestEmptySnapshot decodes the degenerate artifact in v1 and
+// round-trips it through the current encoder.
 func TestEmptySnapshot(t *testing.T) {
 	want := &Snapshot{
 		Rel4:   intern.FromTable(asrel.NewTable()),
 		Rel6:   intern.FromTable(asrel.NewTable()),
 		Census: core.HybridCensus{ByClass: map[asrel.HybridClass]int{}},
 	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, want, true); err != nil {
+	got, err := Read(bytes.NewReader(emptyV1()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
-	if err != nil {
+	assertSnapshotsEqual(t, want, got)
+	var buf bytes.Buffer
+	if err := EncodeV2(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = Read(&buf); err != nil {
 		t.Fatal(err)
 	}
 	assertSnapshotsEqual(t, want, got)
 }
 
-func BenchmarkEncode(b *testing.B) {
-	s := Capture(analysis(b))
-	var buf bytes.Buffer
-	if err := Encode(&buf, s, true); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := Encode(&buf, s, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodeRaw(b *testing.B) {
-	s := Capture(analysis(b))
-	var buf bytes.Buffer
-	if err := Encode(&buf, s, false); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := Encode(&buf, s, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDecode(b *testing.B) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, Capture(analysis(b)), true); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Read(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkDecode(b, smallV1GZ)
 }
 
 func BenchmarkDecodeRaw(b *testing.B) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, Capture(analysis(b)), false); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+	benchmarkDecode(b, smallV1)
+}
+
+func benchmarkDecode(b *testing.B, path string) {
+	data := v1Fixture(b, path)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
