@@ -19,7 +19,6 @@ import (
 	"hybridrel/internal/bgp"
 	"hybridrel/internal/bgpsim"
 	"hybridrel/internal/core"
-	"hybridrel/internal/ctree"
 	"hybridrel/internal/dataset"
 	"hybridrel/internal/infer"
 	"hybridrel/internal/infer/gao"
@@ -121,10 +120,7 @@ func BenchmarkT4ValleyPaths(b *testing.B) {
 
 // BenchmarkF1CustomerTreeToy regenerates the Figure-1 example.
 func BenchmarkF1CustomerTreeToy(b *testing.B) {
-	g := topology.New()
-	for _, l := range [][2]asrel.ASN{{1, 2}, {1, 3}, {2, 4}, {2, 5}} {
-		g.AddLink(l[0], l[1])
-	}
+	g := topology.FromLinks(nil, []asrel.LinkKey{{Lo: 1, Hi: 2}, {Lo: 1, Hi: 3}, {Lo: 2, Hi: 4}, {Lo: 2, Hi: 5}})
 	t := asrel.NewTable()
 	t.Set(1, 2, asrel.P2C)
 	t.Set(1, 3, asrel.P2C)
@@ -135,7 +131,7 @@ func BenchmarkF1CustomerTreeToy(b *testing.B) {
 	p2p := intern.FromTable(t)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(ctree.Tree(g, p2c, 1)) != 4 || len(ctree.Tree(g, p2p, 1)) != 1 {
+		if len(g.CustomerCone(p2c, 1)) != 4 || len(g.CustomerCone(p2p, 1)) != 1 {
 			b.Fatal("figure-1 trees wrong")
 		}
 	}

@@ -240,10 +240,7 @@ func t4(out io.Writer, a *core.Analysis) error {
 
 // figure1 reproduces the paper's toy example.
 func figure1(out io.Writer) error {
-	g := topology.New()
-	for _, l := range [][2]asrel.ASN{{1, 2}, {1, 3}, {2, 4}, {2, 5}} {
-		g.AddLink(l[0], l[1])
-	}
+	g := topology.FromLinks(nil, []asrel.LinkKey{{Lo: 1, Hi: 2}, {Lo: 1, Hi: 3}, {Lo: 2, Hi: 4}, {Lo: 2, Hi: 5}})
 	mk := func(rel12 asrel.Rel) *intern.Table {
 		t := asrel.NewTable()
 		t.Set(1, 2, rel12)

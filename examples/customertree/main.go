@@ -11,7 +11,6 @@ import (
 
 	"hybridrel"
 	"hybridrel/internal/asrel"
-	"hybridrel/internal/ctree"
 	"hybridrel/internal/infer/rank"
 	"hybridrel/internal/intern"
 	"hybridrel/internal/topology"
@@ -22,17 +21,14 @@ func main() {
 
 	// Part 1: Figure 1. Five ASes; the type of link 1–2 decides AS1's
 	// customer tree.
-	g := topology.New()
-	for _, l := range [][2]asrel.ASN{{1, 2}, {1, 3}, {2, 4}, {2, 5}} {
-		g.AddLink(l[0], l[1])
-	}
+	g := topology.FromLinks(nil, []asrel.LinkKey{{Lo: 1, Hi: 2}, {Lo: 1, Hi: 3}, {Lo: 2, Hi: 4}, {Lo: 2, Hi: 5}})
 	for _, rel12 := range []asrel.Rel{asrel.P2C, asrel.P2P} {
 		t := asrel.NewTable()
 		t.Set(1, 2, rel12)
 		t.Set(1, 3, asrel.P2C)
 		t.Set(2, 4, asrel.P2C)
 		t.Set(2, 5, asrel.P2C)
-		tree := ctree.Tree(g, intern.FromTable(t), 1)
+		tree := g.CustomerCone(intern.FromTable(t), 1)
 		fmt.Printf("Figure 1: link 1–2 = %s → customer tree of AS1 has %d members: ", rel12, len(tree))
 		for _, n := range g.Nodes() {
 			if tree[n] {

@@ -28,7 +28,7 @@ type VantageView struct {
 func (s *Sim) Views(res *Result) []VantageView {
 	out := make([]VantageView, 0, len(s.vantages))
 	for _, vi := range s.vantages {
-		v := s.asns[vi]
+		v := s.g.Nodes()[vi]
 		path := res.PathTo(v)
 		if path == nil {
 			continue

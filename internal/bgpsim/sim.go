@@ -25,10 +25,11 @@ package bgpsim
 
 import (
 	"fmt"
-	"sort"
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/gen"
+	"hybridrel/internal/intern"
+	"hybridrel/internal/topology"
 )
 
 // Class is the preference class of a learned route, ascending.
@@ -64,11 +65,11 @@ type Sim struct {
 	in *gen.Internet
 	af asrel.AF
 
-	asns []asrel.ASN
-	idx  map[asrel.ASN]int32
-	off  []int32
-	nbr  []int32
-	rel  []asrel.Rel // relationship of node u toward nbr entry (u's view)
+	// g is the plane's frozen graph; off and nbr alias its CSR rows.
+	g   *topology.Graph
+	off []int32
+	nbr []int32
+	rel []asrel.Rel // relationship of node u toward nbr entry (u's view)
 
 	// leaks[(at<<32)|via] lists target node indexes.
 	leaks map[uint64][]int32
@@ -91,38 +92,20 @@ type route struct {
 // only in the IPv6 plane, where the generator installs them.
 func New(in *gen.Internet, af asrel.AF) *Sim {
 	g := in.GraphFor(af)
-	truth := in.TruthFor(af)
-	asns := g.Nodes()
 	s := &Sim{
 		in:    in,
 		af:    af,
-		asns:  asns,
-		idx:   make(map[asrel.ASN]int32, len(asns)),
+		g:     g,
+		off:   g.Offsets(),
+		nbr:   g.Targets(),
+		rel:   g.EdgeRels(intern.FromTable(in.TruthFor(af))),
 		leaks: make(map[uint64][]int32),
-	}
-	for i, a := range asns {
-		s.idx[a] = int32(i)
-	}
-	s.off = make([]int32, len(asns)+1)
-	for i, a := range asns {
-		s.off[i+1] = s.off[i] + int32(len(g.Neighbors(a)))
-	}
-	s.nbr = make([]int32, s.off[len(asns)])
-	s.rel = make([]asrel.Rel, s.off[len(asns)])
-	for i, a := range asns {
-		nbrs := append([]asrel.ASN(nil), g.Neighbors(a)...)
-		sort.Slice(nbrs, func(x, y int) bool { return nbrs[x] < nbrs[y] })
-		p := s.off[i]
-		for j, n := range nbrs {
-			s.nbr[p+int32(j)] = s.idx[n]
-			s.rel[p+int32(j)] = truth.Get(a, n)
-		}
 	}
 	if af == asrel.IPv6 {
 		for _, l := range in.Leaks {
-			at, okAt := s.idx[l.At]
-			via, okVia := s.idx[l.Via]
-			to, okTo := s.idx[l.To]
+			at, okAt := g.Index(l.At)
+			via, okVia := g.Index(l.Via)
+			to, okTo := g.Index(l.To)
 			if okAt && okVia && okTo {
 				k := leakKey(at, via)
 				s.leaks[k] = append(s.leaks[k], to)
@@ -130,19 +113,19 @@ func New(in *gen.Internet, af asrel.AF) *Sim {
 		}
 	}
 	for _, v := range in.Vantages {
-		if i, ok := s.idx[v]; ok {
+		if i, ok := g.Index(v); ok {
 			s.vantages = append(s.vantages, i)
 		}
 	}
-	s.routes = make([]route, len(asns))
-	s.inQ = make([]bool, len(asns))
+	s.routes = make([]route, g.NumNodes())
+	s.inQ = make([]bool, g.NumNodes())
 	return s
 }
 
 func leakKey(at, via int32) uint64 { return uint64(uint32(at))<<32 | uint64(uint32(via)) }
 
 // NumASes returns the number of ASes present in this plane.
-func (s *Sim) NumASes() int { return len(s.asns) }
+func (s *Sim) NumASes() int { return s.g.NumNodes() }
 
 // Result is the outcome of one Propagate call. It aliases the Sim's
 // scratch buffers: it is invalidated by the next Propagate on the same
@@ -155,7 +138,7 @@ type Result struct {
 // Propagate computes every AS's best route toward origin. It returns an
 // error only when the origin is not part of this plane.
 func (s *Sim) Propagate(origin asrel.ASN) (*Result, error) {
-	o, ok := s.idx[origin]
+	o, ok := s.g.Index(origin)
 	if !ok {
 		return nil, fmt.Errorf("bgpsim: origin %s not in the %s plane", origin, s.af)
 	}
@@ -283,21 +266,21 @@ func (s *Sim) better(a, b route, _ int32) bool {
 		return a.dist < b.dist
 	}
 	if a.parent != b.parent && a.parent >= 0 && b.parent >= 0 {
-		return s.asns[a.parent] < s.asns[b.parent]
+		return a.parent < b.parent // node indexes ascend with ASN
 	}
 	return false
 }
 
 // Has reports whether asn selected any route to the origin.
 func (r *Result) Has(asn asrel.ASN) bool {
-	i, ok := r.s.idx[asn]
+	i, ok := r.s.g.Index(asn)
 	return ok && r.s.routes[i].class != ClassNone
 }
 
 // ClassOf returns the class of asn's best route (ClassNone if it has no
 // route).
 func (r *Result) ClassOf(asn asrel.ASN) Class {
-	i, ok := r.s.idx[asn]
+	i, ok := r.s.g.Index(asn)
 	if !ok {
 		return ClassNone
 	}
@@ -308,7 +291,7 @@ func (r *Result) ClassOf(asn asrel.ASN) Class {
 // It returns nil when asn has no route or the parent chain is degenerate
 // (a stale leak loop).
 func (r *Result) PathTo(asn asrel.ASN) []asrel.ASN {
-	i, ok := r.s.idx[asn]
+	i, ok := r.s.g.Index(asn)
 	if !ok || r.s.routes[i].class == ClassNone {
 		return nil
 	}
@@ -319,7 +302,7 @@ func (r *Result) PathTo(asn asrel.ASN) []asrel.ASN {
 			return nil // loop through stale leak parents
 		}
 		seen[cur] = true
-		path = append(path, r.s.asns[cur])
+		path = append(path, r.s.g.Nodes()[cur])
 		p := r.s.routes[cur].parent
 		if p < 0 {
 			return path

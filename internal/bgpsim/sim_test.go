@@ -17,8 +17,6 @@ func tiny(links map[asrel.LinkKey]asrel.Rel, vantages ...asrel.ASN) *gen.Interne
 	in := &gen.Internet{
 		Cfg:           gen.Config{TEProb: 0},
 		ASes:          make(map[asrel.ASN]*gen.AS),
-		Graph4:        topology.New(),
-		Graph6:        topology.New(),
 		Truth4:        asrel.NewTable(),
 		Truth6:        asrel.NewTable(),
 		VantageLocPrf: make(map[asrel.ASN]bool),
@@ -27,18 +25,18 @@ func tiny(links map[asrel.LinkKey]asrel.Rel, vantages ...asrel.ASN) *gen.Interne
 		if in.ASes[a] == nil {
 			in.ASes[a] = &gen.AS{ASN: a, IPv6: true, Tier: gen.Tier2}
 			in.Order = append(in.Order, a)
-			in.Graph4.AddNode(a)
-			in.Graph6.AddNode(a)
 		}
 	}
+	keys := make([]asrel.LinkKey, 0, len(links))
 	for k, r := range links {
 		addAS(k.Lo)
 		addAS(k.Hi)
-		in.Graph4.AddLink(k.Lo, k.Hi)
-		in.Graph6.AddLink(k.Lo, k.Hi)
+		keys = append(keys, k)
 		in.Truth4.SetKey(k, r)
 		in.Truth6.SetKey(k, r)
 	}
+	in.Graph4 = topology.FromLinks(in.Order, keys)
+	in.Graph6 = topology.FromLinks(in.Order, keys)
 	in.Vantages = append(in.Vantages, vantages...)
 	return in
 }

@@ -3,8 +3,10 @@ package core
 // Pins the documented "accessors are safe for concurrent use" claim:
 // N goroutines hit every memoized Analysis accessor simultaneously on
 // a fresh Analysis (so the sync.Once initializations race with the
-// readers), results must agree across goroutines, and the copies the
-// accessors hand out must be independently mutable. Run with -race.
+// readers), half of them running the Figure-2 sweep over the same IPv6
+// graph the valley report walks, results must agree across goroutines,
+// and the copies the accessors hand out must be independently mutable.
+// Run with -race.
 
 import (
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"hybridrel/internal/asrel"
+	"hybridrel/internal/ctree"
 )
 
 // probeClass is a synthetic census key each goroutine mutates to prove
@@ -30,6 +33,8 @@ func TestAnalysisAccessorsConcurrent(t *testing.T) {
 	}
 	got := make([]products, goroutines)
 	valleys := make([]any, goroutines)
+	baseline := a.BaselineV6(a.Comm4.Table, a.Comm6.Table)
+	sweeps := make([][]ctree.SweepPoint, goroutines)
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -38,6 +43,9 @@ func TestAnalysisAccessorsConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
+			if i%2 == 1 {
+				sweeps[i] = a.Figure2(baseline, 3, 0)
+			}
 			p := products{
 				hybrids:    a.Hybrids(),
 				coverage:   a.Coverage(),
@@ -67,6 +75,9 @@ func TestAnalysisAccessorsConcurrent(t *testing.T) {
 		}
 		if !reflect.DeepEqual(valleys[i], valleys[0]) {
 			t.Errorf("goroutine %d: valley report diverged", i)
+		}
+		if i%2 == 1 && !reflect.DeepEqual(sweeps[i], sweeps[1]) {
+			t.Errorf("goroutine %d: Figure-2 sweep diverged", i)
 		}
 		// Each goroutine must see only its own probe mutation — shared
 		// storage would have let a neighbor's value win.

@@ -1,7 +1,8 @@
 // Package ctree implements the paper's "customer tree" metric (§4,
-// Figures 1 and 2): the set of ASes a root can reach through p2c links
-// only, the union of all customer trees as a subgraph, the average
-// shortest valley-free path length and diameter of that union, and the
+// Figures 1 and 2): the union of all customer trees as a subgraph (a
+// root's tree is the set of ASes it reaches through p2c links only,
+// topology.Graph.CustomerCone), the average shortest valley-free
+// distance and diameter from each root to its tree's members, and the
 // Figure-2 correction sweep in which mis-inferred hybrid relationships
 // are fixed one at a time in order of path visibility.
 package ctree
@@ -14,71 +15,30 @@ import (
 	"hybridrel/internal/topology"
 )
 
-// Tree returns the customer tree of root under rels: every AS reachable
-// from root by descending p2c links, excluding the root.
-func Tree(g *topology.Graph, rels *intern.Table, root asrel.ASN) map[asrel.ASN]bool {
-	return g.CustomerCone(rels, root)
-}
-
-// TreeSize returns the number of ASes in root's customer tree.
-func TreeSize(g *topology.Graph, rels *intern.Table, root asrel.ASN) int {
-	return len(Tree(g, rels, root))
-}
-
 // UnionGraph materializes the union of all customer trees: exactly the
 // links annotated p2c (every such link belongs to its provider's tree,
-// and every tree edge is such a link), with their annotations.
-func UnionGraph(g *topology.Graph, rels *intern.Table) (*topology.Graph, *intern.Table) {
-	ug := topology.New()
-	var ut intern.TableBuilder
+// and every tree edge is such a link).
+func UnionGraph(g *topology.Graph, rels *intern.Table) *topology.Graph {
+	var keys []asrel.LinkKey
 	for _, k := range g.LinkKeys() {
-		r := rels.GetKey(k)
-		if r == asrel.P2C || r == asrel.C2P {
-			ug.AddLink(k.Lo, k.Hi)
-			// LinkKeys is in canonical order, so Append cannot fail.
-			_ = ut.Append(k, r)
+		if r := rels.GetKey(k); r == asrel.P2C || r == asrel.C2P {
+			keys = append(keys, k)
 		}
 	}
-	return ug, ut.Table()
+	return topology.FromLinks(nil, keys)
 }
 
 // Metric is the Figure-2 measurement of one annotated topology.
 type Metric struct {
-	// Avg is the mean shortest valley-free path length over connected
-	// ordered pairs of the union-of-customer-trees subgraph.
+	// Avg is the mean shortest valley-free distance over (root, member)
+	// pairs of the customer trees.
 	Avg float64
-	// Diameter is the longest shortest valley-free path in the subgraph.
+	// Diameter is the longest of those distances.
 	Diameter int
-	// Pairs is the number of connected ordered pairs measured.
+	// Pairs is the number of (root, member) pairs measured.
 	Pairs int
-	// Nodes and Links describe the subgraph itself.
+	// Nodes and Links describe the union-of-customer-trees subgraph.
 	Nodes, Links int
-}
-
-// MeasureUnion computes the Metric of the union-of-customer-trees
-// subgraph of (g, rels). With maxSources > 0 the valley-free distances
-// are computed from a deterministic sample of sources (every ceil(n/max)-th
-// node in ASN order), which scales the metric to large graphs; pass 0
-// for the exact all-pairs measurement.
-func MeasureUnion(g *topology.Graph, rels *intern.Table, maxSources int) Metric {
-	ug, ut := UnionGraph(g, rels)
-	m := Metric{Nodes: ug.NumNodes(), Links: ug.NumLinks()}
-	if ug.NumNodes() == 0 {
-		return m
-	}
-	var sources []asrel.ASN
-	if maxSources > 0 && ug.NumNodes() > maxSources {
-		nodes := ug.Nodes()
-		stride := (len(nodes) + maxSources - 1) / maxSources
-		for i := 0; i < len(nodes); i += stride {
-			sources = append(sources, nodes[i])
-		}
-	}
-	st := ug.ValleyFreeStats(ut, sources)
-	m.Avg = st.Avg
-	m.Diameter = st.Diameter
-	m.Pairs = st.Pairs
-	return m
 }
 
 // MeasureTrees computes the paper's Figure-2 metric: for every root AS,
@@ -87,40 +47,34 @@ func MeasureUnion(g *topology.Graph, rels *intern.Table, maxSources int) Metric 
 // paper's "average shortest path", Diameter its "diameter" of the IPv6
 // AS customer trees. Distances are measured in the full annotated
 // graph, so a root may reach a deep cone member over a shorter up-down
-// detour than its own p2c chain.
+// detour than its own p2c chain. The edges are annotated once, and each
+// root costs one cone walk and one valley-free BFS on arrays.
 //
 // With maxRoots > 0, roots are sampled deterministically (every
 // ceil(n/max)-th node in ASN order); pass 0 to measure every root.
 func MeasureTrees(g *topology.Graph, rels *intern.Table, maxRoots int) Metric {
-	ug, _ := UnionGraph(g, rels)
+	ug := UnionGraph(g, rels)
 	m := Metric{Nodes: ug.NumNodes(), Links: ug.NumLinks()}
-	nodes := g.Nodes()
+	n := g.NumNodes()
 	stride := 1
-	if maxRoots > 0 && len(nodes) > maxRoots {
-		stride = (len(nodes) + maxRoots - 1) / maxRoots
+	if maxRoots > 0 && n > maxRoots {
+		stride = (n + maxRoots - 1) / maxRoots
 	}
+	w := g.Walk(rels)
 	var sum int64
-	for i := 0; i < len(nodes); i += stride {
-		root := nodes[i]
-		cone := g.CustomerCone(rels, root)
+	for root := int32(0); int(root) < n; root += int32(stride) {
+		cone := w.Cone(root)
 		if len(cone) == 0 {
 			continue
 		}
-		dist := g.ValleyFreeDist(rels, root)
-		for member := range cone {
-			d, ok := dist[member]
-			if !ok {
-				// Unreachable valley-free despite being in the cone can
-				// only happen if the p2c chain itself was cut by a
-				// concurrent mutation; the cone walk guarantees a pure
-				// descent, so treat as the cone-path upper bound: skip.
-				continue
-			}
+		w.ValleyFree(root, false)
+		for _, member := range cone {
+			// The p2c chain that put member in the cone is itself a
+			// valley-free path, so every member is reached.
+			d := w.Dist(member)
 			sum += int64(d)
 			m.Pairs++
-			if d > m.Diameter {
-				m.Diameter = d
-			}
+			m.Diameter = max(m.Diameter, d)
 		}
 	}
 	if m.Pairs > 0 {

@@ -931,11 +931,10 @@ func (d *Dataset) HasLink(k asrel.LinkKey) bool { return d.Flat().Has(k) }
 // LinkVisibility returns how many unique paths traverse the link.
 func (d *Dataset) LinkVisibility(k asrel.LinkKey) int { return d.Flat().Get(k) }
 
-// Graph materializes the observed topology as a graph.
+// Graph materializes the observed topology as a graph, built straight
+// from the sorted link keys.
 func (d *Dataset) Graph() *topology.Graph {
-	g := topology.New()
-	d.Flat().Each(func(k asrel.LinkKey, _ int) { g.AddLink(k.Lo, k.Hi) })
-	return g
+	return topology.FromLinks(nil, d.Flat().Keys())
 }
 
 // Vantages returns the distinct vantage ASes seen, ascending.

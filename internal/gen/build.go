@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"hybridrel/internal/asrel"
-	"hybridrel/internal/topology"
 )
 
 // Build generates a complete synthetic Internet from cfg. It is
@@ -18,11 +17,11 @@ func Build(cfg Config) (*Internet, error) {
 	b := &builder{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
+		g4:  newLinkSet(),
+		g6:  newLinkSet(),
 		in: &Internet{
 			Cfg:           cfg,
 			ASes:          make(map[asrel.ASN]*AS, cfg.NumASes),
-			Graph4:        topology.New(),
-			Graph6:        topology.New(),
 			Truth4:        asrel.NewTable(),
 			Truth6:        asrel.NewTable(),
 			VantageLocPrf: make(map[asrel.ASN]bool),
@@ -36,6 +35,7 @@ func Build(cfg Config) (*Internet, error) {
 	b.assignPolicies()
 	b.assignPrefixes()
 	b.pickVantages()
+	b.in.Graph4, b.in.Graph6 = b.g4.freeze(), b.g6.freeze()
 	return b.in, nil
 }
 
@@ -43,6 +43,9 @@ type builder struct {
 	cfg Config
 	rng *rand.Rand
 	in  *Internet
+	// g4 / g6 are the planes' link sets while links are planted; Build
+	// freezes them into in.Graph4 / in.Graph6 at the end.
+	g4, g6 *linkSet
 	// customers counts p2c edges per AS for preferential attachment.
 	customers map[asrel.ASN]int
 	transits  []asrel.ASN    // tier-1 + transit ASes in creation order
@@ -84,7 +87,7 @@ func (b *builder) makeASes() {
 		}
 		in.ASes[asn] = a
 		in.Order = append(in.Order, asn)
-		in.Graph4.AddNode(asn)
+		b.g4.addNode(asn)
 	}
 }
 
@@ -122,7 +125,7 @@ func (b *builder) buildV4() {
 	// Tier-1 clique.
 	for i, a := range in.Tier1 {
 		for _, z := range in.Tier1[i+1:] {
-			in.Graph4.AddLink(a, z)
+			b.g4.add(a, z)
 			in.Truth4.Set(a, z, asrel.P2P)
 		}
 	}
@@ -137,7 +140,7 @@ func (b *builder) buildV4() {
 			n++
 		}
 		for _, p := range b.pickProviders(a, n) {
-			if in.Graph4.AddLink(p, asn) {
+			if b.g4.add(p, asn) {
 				in.Truth4.Set(p, asn, asrel.P2C)
 				b.customers[p]++
 			}
@@ -153,14 +156,14 @@ func (b *builder) buildV4() {
 		peersOK := func(c asrel.ASN) bool {
 			ac := in.ASes[c]
 			return c != t && ac.Tier == Tier2 && ac.Layer == at.Layer &&
-				!in.Graph4.HasLink(t, c)
+				!b.g4.has(t, c)
 		}
 		for j := 0; j < k; j++ {
 			peer := b.weightedTransit(peersOK)
 			if peer == 0 {
 				break
 			}
-			in.Graph4.AddLink(t, peer)
+			b.g4.add(t, peer)
 			in.Truth4.Set(t, peer, asrel.P2P)
 		}
 	}
@@ -170,8 +173,8 @@ func (b *builder) buildV4() {
 			continue
 		}
 		o := b.stubs[b.rng.Intn(len(b.stubs))]
-		if o != s && !in.Graph4.HasLink(s, o) {
-			in.Graph4.AddLink(s, o)
+		if o != s && !b.g4.has(s, o) {
+			b.g4.add(s, o)
 			in.Truth4.Set(s, o, asrel.P2P)
 		}
 	}
@@ -214,7 +217,7 @@ func (b *builder) placeHub() {
 	// transit.
 	var cands []asrel.ASN
 	for _, c := range b.layers[3] {
-		if c != hub && !in.Graph4.HasLink(hub, c) {
+		if c != hub && !b.g4.has(hub, c) {
 			cands = append(cands, c)
 		}
 	}
@@ -229,7 +232,7 @@ func (b *builder) placeHub() {
 		if added >= b.cfg.HubPeerings {
 			break
 		}
-		in.Graph4.AddLink(hub, c)
+		b.g4.add(hub, c)
 		in.Truth4.Set(hub, c, asrel.P2P)
 		added++
 	}
@@ -375,7 +378,7 @@ func (b *builder) buildV6() {
 	// provider links never carry a v6 session (it reaches the v6 world
 	// entirely over peering), and the disputants share no v6 link.
 	hub := in.FreeTransitHub
-	for _, k := range in.Graph4.LinkKeys() {
+	for _, k := range b.g4.keys() {
 		if !in.ASes[k.Lo].IPv6 || !in.ASes[k.Hi].IPv6 {
 			continue
 		}
@@ -388,7 +391,7 @@ func (b *builder) buildV6() {
 		// The tier-1 clique was fully dual-stacked by 2010 (the dispute
 		// pair excepted, handled above).
 		if in.ASes[k.Lo].Tier == Tier1 && in.ASes[k.Hi].Tier == Tier1 {
-			in.Graph6.AddLink(k.Lo, k.Hi)
+			b.g6.add(k.Lo, k.Hi)
 			in.Truth6.SetKey(k, in.Truth4.GetKey(k))
 			continue
 		}
@@ -400,7 +403,7 @@ func (b *builder) buildV6() {
 			p *= 0.6
 		}
 		if b.rng.Float64() < p {
-			in.Graph6.AddLink(k.Lo, k.Hi)
+			b.g6.add(k.Lo, k.Hi)
 			in.Truth6.SetKey(k, in.Truth4.GetKey(k))
 		}
 	}
@@ -409,12 +412,12 @@ func (b *builder) buildV6() {
 	// whole v6 Internet.
 	if hub != 0 {
 		for _, t := range in.Tier1 {
-			if t == in.DisputeB || in.Graph6.HasLink(hub, t) {
+			if t == in.DisputeB || b.g6.has(hub, t) {
 				continue
 			}
-			in.Graph6.AddLink(hub, t)
+			b.g6.add(hub, t)
 			in.Truth6.Set(hub, t, asrel.P2P)
-			if in.Graph4.Degree(hub) > 0 && in.Graph4.HasLink(hub, t) {
+			if b.g4.degree(hub) > 0 && b.g4.has(hub, t) {
 				// The v4 session is the hub's paid transit; the v6
 				// session is a settlement-free peering — a ready-made
 				// H2 hybrid (v4 transit / v6 p2p).
@@ -431,12 +434,12 @@ func (b *builder) buildV6() {
 		if !a.IPv6 || a.Tier == Tier1 || asn == hub {
 			continue
 		}
-		if len(in.related(asrel.IPv6, asn, asrel.C2P)) > 0 {
+		if len(b.related(asrel.IPv6, asn, asrel.C2P)) > 0 {
 			continue
 		}
 		fixed := false
-		for _, p := range in.related(asrel.IPv4, asn, asrel.C2P) {
-			if in.ASes[p].IPv6 && in.Graph6.AddLink(p, asn) {
+		for _, p := range b.related(asrel.IPv4, asn, asrel.C2P) {
+			if in.ASes[p].IPv6 && b.g6.add(p, asn) {
 				in.Truth6.Set(p, asn, asrel.P2C)
 				fixed = true
 				break
@@ -446,7 +449,7 @@ func (b *builder) buildV6() {
 			continue
 		}
 		provider := b.v6TunnelProvider(a)
-		if provider != 0 && in.Graph6.AddLink(provider, asn) {
+		if provider != 0 && b.g6.add(provider, asn) {
 			in.Truth6.Set(provider, asn, asrel.P2C)
 		}
 	}
@@ -462,10 +465,10 @@ func (b *builder) buildV6() {
 	for i := 0; i < b.cfg.V6OnlyPeerings && len(v6transit) > 2; i++ {
 		x := v6transit[b.rng.Intn(len(v6transit))]
 		y := v6transit[b.rng.Intn(len(v6transit))]
-		if x == y || in.Graph4.HasLink(x, y) || in.Graph6.HasLink(x, y) {
+		if x == y || b.g4.has(x, y) || b.g6.has(x, y) {
 			continue
 		}
-		in.Graph6.AddLink(x, y)
+		b.g6.add(x, y)
 		in.Truth6.Set(x, y, asrel.P2P)
 	}
 }
@@ -505,7 +508,7 @@ func (b *builder) v6TunnelProvider(a *AS) asrel.ASN {
 // degree, so hybrids concentrate on tier-1/tier-2 ASes.
 func (b *builder) plantHybrids() {
 	in := b.in
-	duals := in.DualStackLinks()
+	duals := b.dualStackLinks()
 	if len(duals) == 0 {
 		return
 	}
@@ -547,7 +550,7 @@ func (b *builder) plantHybrids() {
 		}
 	}
 	weight := func(k asrel.LinkKey) float64 {
-		w := float64(in.Graph6.Degree(k.Lo) + in.Graph6.Degree(k.Hi))
+		w := float64(b.g6.degree(k.Lo) + b.g6.degree(k.Hi))
 		if in.FreeTransitHub != 0 && k.Contains(in.FreeTransitHub) {
 			w *= b.cfg.HubH1Bias
 		}
@@ -584,7 +587,7 @@ func (b *builder) plantHybrids() {
 		case in.FreeTransitHub != 0 && k.Contains(in.FreeTransitHub):
 			provider = in.FreeTransitHub
 			customer = k.Other(provider)
-		case in.Graph6.Degree(k.Hi) > in.Graph6.Degree(k.Lo):
+		case b.g6.degree(k.Hi) > b.g6.degree(k.Lo):
 			provider, customer = k.Hi, k.Lo
 		}
 		in.Truth6.Set(provider, customer, asrel.P2C)
@@ -600,14 +603,14 @@ func (b *builder) plantHybrids() {
 				continue
 			}
 			cust := h.Key.Other(in.FreeTransitHub)
-			if len(in.related(asrel.IPv6, cust, asrel.C2P)) > 1 {
+			if len(b.related(asrel.IPv6, cust, asrel.C2P)) > 1 {
 				continue
 			}
 			if b.rng.Float64() >= 0.8 {
 				continue // a few networks do run IPv6 on free transit alone
 			}
-			for _, p := range in.related(asrel.IPv4, cust, asrel.C2P) {
-				if in.ASes[p].IPv6 && p != in.FreeTransitHub && in.Graph6.AddLink(p, cust) {
+			for _, p := range b.related(asrel.IPv4, cust, asrel.C2P) {
+				if in.ASes[p].IPv6 && p != in.FreeTransitHub && b.g6.add(p, cust) {
 					in.Truth6.Set(p, cust, asrel.P2C)
 					break
 				}
@@ -622,7 +625,7 @@ func (b *builder) plantHybrids() {
 		if in.Truth4.GetKey(k) == asrel.P2C { // Lo is the provider
 			cust = k.Hi
 		}
-		return len(in.related(asrel.IPv6, cust, asrel.C2P)) > 1
+		return len(b.related(asrel.IPv6, cust, asrel.C2P)) > 1
 	}
 	for _, k := range b.weightedLinks(transits, wantH2, weightH2, okH2) {
 		// Re-check at apply time: an earlier flip in this batch may have
@@ -644,7 +647,7 @@ func (b *builder) plantHybrids() {
 		if in.ASes[prov].Tier == Tier1 {
 			return false
 		}
-		return len(in.related(asrel.IPv6, cust, asrel.C2P)) > 1
+		return len(b.related(asrel.IPv6, cust, asrel.C2P)) > 1
 	}
 	for _, k := range b.weightedLinks(transits, wantH3, weight, okH3) {
 		if !okH3(k) {

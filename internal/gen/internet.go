@@ -121,8 +121,9 @@ type Internet struct {
 	// creation order (ascending).
 	ASes  map[asrel.ASN]*AS
 	Order []asrel.ASN
-	// Graph4 / Graph6 are the per-plane link sets; Truth4 / Truth6 the
-	// ground-truth relationship tables.
+	// Graph4 / Graph6 are the per-plane graphs, frozen once Build has
+	// planted every link; Truth4 / Truth6 the ground-truth relationship
+	// tables.
 	Graph4, Graph6 *topology.Graph
 	Truth4, Truth6 *asrel.Table
 	// Tier1 lists the clique members.
@@ -173,21 +174,6 @@ func (in *Internet) TruthFor(af asrel.AF) *asrel.Table {
 		return in.Truth6
 	}
 	return in.Truth4
-}
-
-// related returns a's neighbours in the af plane whose planted
-// relationship (a toward the neighbour) is want, in adjacency order.
-// The builder asks this between plantings, so it reads the mutable
-// truth table directly instead of freezing a copy per question.
-func (in *Internet) related(af asrel.AF, a asrel.ASN, want asrel.Rel) []asrel.ASN {
-	truth := in.TruthFor(af)
-	var out []asrel.ASN
-	for _, n := range in.GraphFor(af).Neighbors(a) {
-		if truth.Get(a, n) == want {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // PrefixesFor returns the prefixes the AS originates in the plane.

@@ -31,14 +31,14 @@ func (b *builder) assignLeaks() {
 		if !a.IPv6 || a.Tier == Tier1 {
 			continue
 		}
-		up := append(in.related(asrel.IPv6, t, asrel.C2P), in.related(asrel.IPv6, t, asrel.P2P)...)
+		up := append(b.related(asrel.IPv6, t, asrel.C2P), b.related(asrel.IPv6, t, asrel.P2P)...)
 		if len(up) >= 2 {
 			cands = append(cands, t)
 		}
 	}
 	for i := 0; i < b.cfg.NumNoiseLeakers && len(cands) > 0; i++ {
 		at := cands[b.rng.Intn(len(cands))]
-		up := append(in.related(asrel.IPv6, at, asrel.C2P), in.related(asrel.IPv6, at, asrel.P2P)...)
+		up := append(b.related(asrel.IPv6, at, asrel.C2P), b.related(asrel.IPv6, at, asrel.P2P)...)
 		sort.Slice(up, func(x, y int) bool { return up[x] < up[y] })
 		via := up[b.rng.Intn(len(up))]
 		to := up[b.rng.Intn(len(up))]
@@ -87,18 +87,18 @@ func (b *builder) findOrMakeRelaxers() []asrel.ASN {
 		}
 		okA := in.Truth6.Get(t, in.DisputeA) == asrel.C2P
 		okB := in.Truth6.Get(t, in.DisputeB) == asrel.C2P
-		if !okA && in.Graph6.HasLink(t, in.DisputeA) {
+		if !okA && b.g6.has(t, in.DisputeA) {
 			continue // linked with a non-transit relationship; skip
 		}
-		if !okB && in.Graph6.HasLink(t, in.DisputeB) {
+		if !okB && b.g6.has(t, in.DisputeB) {
 			continue
 		}
 		if !okA {
-			in.Graph6.AddLink(in.DisputeA, t)
+			b.g6.add(in.DisputeA, t)
 			in.Truth6.Set(in.DisputeA, t, asrel.P2C)
 		}
 		if !okB {
-			in.Graph6.AddLink(in.DisputeB, t)
+			b.g6.add(in.DisputeB, t)
 			in.Truth6.Set(in.DisputeB, t, asrel.P2C)
 		}
 		out = append(out, t)
@@ -162,7 +162,7 @@ func (b *builder) assignPrefixes() {
 			}
 		}
 		sort.Slice(v6ases, func(i, j int) bool {
-			di, dj := in.Graph6.Degree(v6ases[i]), in.Graph6.Degree(v6ases[j])
+			di, dj := b.g6.degree(v6ases[i]), b.g6.degree(v6ases[j])
 			if di != dj {
 				return di > dj
 			}

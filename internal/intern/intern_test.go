@@ -372,109 +372,3 @@ func TestSweepMatchesGetKey(t *testing.T) {
 		}
 	})
 }
-
-// csrFromLinks builds a CSR from an undirected link set, the shape the
-// graph layer feeds CSRFromAdj.
-func csrFromLinks(links []asrel.LinkKey) *CSR {
-	adj := make(map[asrel.ASN][]asrel.ASN)
-	for _, k := range links {
-		adj[k.Lo] = append(adj[k.Lo], k.Hi)
-		adj[k.Hi] = append(adj[k.Hi], k.Lo)
-	}
-	nodes := make([]asrel.ASN, 0, len(adj))
-	for a := range adj {
-		nodes = append(nodes, a)
-	}
-	return CSRFromAdj(nodes, func(a asrel.ASN) []asrel.ASN { return adj[a] })
-}
-
-// assertEdgeRels checks EdgeRels against a per-edge Get on every
-// directed edge of c.
-func assertEdgeRels(t *testing.T, c *CSR, tbl *asrel.Table) {
-	t.Helper()
-	rels := c.EdgeRels(FromTable(tbl))
-	for i, a := range c.ASNs {
-		for p := c.Off[i]; p < c.Off[i+1]; p++ {
-			b := c.ASNs[c.Nbr[p]]
-			if want := tbl.Get(a, b); rels[p] != want {
-				t.Fatalf("EdgeRels(%s→%s) = %s, want %s", a, b, rels[p], want)
-			}
-		}
-	}
-}
-
-// TestEdgeRelsMatchesGet holds the cursor-sweep annotation to a lookup
-// per edge on random graphs whose links the table covers only in part
-// (and whose table holds links the graph lacks).
-func TestEdgeRelsMatchesGet(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 20; trial++ {
-		tbl := randTable(rng, 300)
-		set := make(map[asrel.LinkKey]bool)
-		for _, k := range tbl.Keys() {
-			if rng.Intn(3) > 0 {
-				set[k] = true
-			}
-		}
-		for i := 0; i < 100; i++ {
-			a, b := asrel.ASN(rng.Intn(250)+1), asrel.ASN(rng.Intn(250)+1)
-			if a != b {
-				set[asrel.Key(a, b)] = true
-			}
-		}
-		links := make([]asrel.LinkKey, 0, len(set))
-		for k := range set {
-			links = append(links, k)
-		}
-		assertEdgeRels(t, csrFromLinks(links), tbl)
-	}
-}
-
-func TestCSR(t *testing.T) {
-	links := []asrel.LinkKey{
-		asrel.Key(10, 20), asrel.Key(10, 30), asrel.Key(20, 30), asrel.Key(40, 10),
-	}
-	c := csrFromLinks(links)
-	if c.NumNodes() != 4 {
-		t.Fatalf("NumNodes = %d", c.NumNodes())
-	}
-	// ASNs ascending.
-	if !sort.SliceIsSorted(c.ASNs, func(i, j int) bool { return c.ASNs[i] < c.ASNs[j] }) {
-		t.Fatal("ASNs not sorted")
-	}
-	i10, ok := c.Index(10)
-	if !ok {
-		t.Fatal("Index(10) missing")
-	}
-	if c.Degree(i10) != 3 {
-		t.Fatalf("Degree(10) = %d, want 3", c.Degree(i10))
-	}
-	var got []asrel.ASN
-	for _, n := range c.Neighbors(i10) {
-		got = append(got, c.ASNs[n])
-	}
-	if !reflect.DeepEqual(got, []asrel.ASN{20, 30, 40}) {
-		t.Fatalf("Neighbors(10) = %v", got)
-	}
-	if _, ok := c.Index(99); ok {
-		t.Fatal("Index invented a node")
-	}
-
-	// EdgeRels aligns with Nbr, in both directions of every edge.
-	tbl := asrel.NewTable()
-	tbl.Set(10, 20, asrel.P2C)
-	tbl.Set(10, 30, asrel.P2P)
-	tbl.Set(30, 20, asrel.P2C)
-	assertEdgeRels(t, c, tbl)
-
-	// Isolated nodes survive CSRFromAdj.
-	adj := map[asrel.ASN][]asrel.ASN{5: nil, 6: {7}, 7: {6}}
-	c2 := CSRFromAdj([]asrel.ASN{5, 6, 7}, func(a asrel.ASN) []asrel.ASN { return adj[a] })
-	if c2.NumNodes() != 3 {
-		t.Fatalf("isolated node dropped: %d nodes", c2.NumNodes())
-	}
-	i5, ok := c2.Index(5)
-	if !ok || c2.Degree(i5) != 0 {
-		t.Fatal("isolated node has neighbors")
-	}
-}

@@ -788,6 +788,9 @@ func readStatsV2(rec []byte, lay *layout, s *Snapshot) error {
 		if cl > uint64(asrel.HybridOther) {
 			return lay.sectionErr(si, "invalid hybrid class %d (word %d)", cl, 10+2*i)
 		}
+		if i > 0 && cl <= words[8+2*i] {
+			return lay.sectionErr(si, "census class %d after class %d is not strictly ascending (word %d)", cl, words[8+2*i], 10+2*i)
+		}
 		if s.Census.ByClass[asrel.HybridClass(cl)], err = word(11 + 2*i); err != nil {
 			return err
 		}

@@ -270,9 +270,62 @@ func TestV2FailureModes(t *testing.T) {
 	each("invalid hybrid class", func(l *layout) bool { return l.cnt[secHybrids] == 0 }, func(t *testing.T, in fixedInput) []byte {
 		return in.sealed(t, func(b []byte) { b[in.lay.off[secHybrids]+10] = 0x7F })
 	}, "invalid hybrid class")
+	each("census classes out of order", func(l *layout) bool { return l.cnt[secStats] < 19+2*2 }, func(t *testing.T, in fixedInput) []byte {
+		return in.sealed(t, func(b []byte) { swapCensusPairs(b, in.lay) })
+	}, "not strictly ascending")
+	each("duplicate census class", func(l *layout) bool { return l.cnt[secStats] < 19+2*2 }, func(t *testing.T, in fixedInput) []byte {
+		at := in.lay.off[secStats]
+		return in.sealed(t, func(b []byte) { copy(b[at+8*12:at+8*13], b[at+8*10:at+8*11]) })
+	}, "not strictly ascending")
 	each("nonzero hybrid record padding", func(l *layout) bool { return l.cnt[secHybrids] == 0 }, func(t *testing.T, in fixedInput) []byte {
 		return in.sealed(t, func(b []byte) { b[in.lay.off[secHybrids]+12] = 1 })
 	}, "nonzero record padding")
+}
+
+// swapCensusPairs swaps the first two (class, count) word pairs of the
+// stats section in place: words 10–11 and 12–13.
+func swapCensusPairs(b []byte, lay *layout) {
+	at := lay.off[secStats] + 8*10
+	first := bytes.Clone(b[at : at+16])
+	copy(b[at:at+16], b[at+16:at+32])
+	copy(b[at+16:at+32], first)
+}
+
+// TestCensusOrderRejected swaps the small world's first two census
+// pairs and reseals the checksums: the file is well-formed except that
+// its classes descend, which would decode to the same map and re-encode
+// to different bytes. Read, Open, Map (which shares the stats reader)
+// and Verify over the image must all reject it, naming the section.
+func TestCensusOrderRejected(t *testing.T) {
+	bad := encodeV2Bytes(t, Capture(analysis(t)))
+	lay, err := parseFixed(bad[:v3HeaderSize], bad[len(bad)-4:], len(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lay.cnt[secStats] < 19+2*2 {
+		t.Fatalf("the small world's census has %d words, need two classes", lay.cnt[secStats])
+	}
+	swapCensusPairs(bad, lay)
+	reseal(t, bad)
+	path := filepath.Join(t.TempDir(), "census.snap")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, rerr := Read(bytes.NewReader(bad))
+	_, oerr := Open(path)
+	_, merr := Map(path)
+	verr := (&Snapshot{raw: bad}).Verify()
+	for name, err := range map[string]error{"Read": rerr, "Open": oerr, "Map": merr, "Verify": verr} {
+		if err == nil {
+			t.Errorf("%s accepted descending census classes", name)
+			continue
+		}
+		for _, sub := range []string{"(stats)", "not strictly ascending"} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", name, err, sub)
+			}
+		}
+	}
 }
 
 // TestOpenReportsPathAndOffset pins the satellite contract: a

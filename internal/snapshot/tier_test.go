@@ -22,6 +22,8 @@ const (
 	// mapOverOpenMinSpeedup is how much faster Map must be than Open,
 	// which decodes and validates every section, on the same 10k file.
 	mapOverOpenMinSpeedup = 5.0
+	// mapSamples is how many alternating calls each tier gets.
+	mapSamples = 500
 )
 
 // writeTier builds a scale tier and writes it as a v2 file.
@@ -50,8 +52,10 @@ func minTime(n int, fn func()) time.Duration {
 }
 
 // TestMapTierIndependent holds Map's cost independent of the file's
-// size. Rounds interleave the 600-AS and 10k-tier files so drift on
-// the host lands on both, and each side keeps its fastest call. The
+// size. Samples alternate single calls between the 600-AS and 10k-tier
+// files, so host drift and busy neighbours (other test binaries under
+// go test ./...) land on both alike, and each side keeps its fastest
+// of mapSamples calls. The
 // 10k map may cost at most mapTierMaxRatio of the 600-AS map, and must
 // allocate exactly as much: the sections are aliased, not copied. The
 // same 10k file then sets Map against Open, whose full decode grows
@@ -77,9 +81,9 @@ func TestMapTierIndependent(t *testing.T) {
 	mapSmall, mapLarge := mapFile(small), mapFile(large)
 
 	best600, best10k := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for round := 0; round < 5; round++ {
-		best600 = min(best600, minTime(20, mapSmall))
-		best10k = min(best10k, minTime(20, mapLarge))
+	for i := 0; i < mapSamples; i++ {
+		best600 = min(best600, minTime(1, mapSmall))
+		best10k = min(best10k, minTime(1, mapLarge))
 	}
 	ratio := float64(best10k) / float64(best600)
 	t.Logf("Map: 600-AS %v, 10k %v (%.2fx)", best600, best10k, ratio)

@@ -5,22 +5,6 @@ import (
 	"hybridrel/internal/intern"
 )
 
-// freeze returns the CSR index of the graph, building it on first use
-// after a mutation. Nodes are renumbered into [0, n) in ascending ASN
-// order so the heavy traversal methods run on int32 arrays instead of
-// maps.
-func (g *Graph) freeze() *intern.CSR {
-	if g.csr != nil {
-		return g.csr
-	}
-	nodes := make([]asrel.ASN, 0, len(g.adj))
-	for a := range g.adj {
-		nodes = append(nodes, a)
-	}
-	g.csr = intern.CSRFromAdj(nodes, func(a asrel.ASN) []asrel.ASN { return g.adj[a] })
-	return g.csr
-}
-
 // Valley-free BFS states. A valley-free path is an uphill run of c2p
 // edges, optionally one p2p edge, then a downhill run of p2c edges
 // (Gao 2001). Sibling (s2s) edges are transparent: they preserve the
@@ -63,62 +47,102 @@ func vfNext(s int, rel asrel.Rel, lenient bool) int {
 	return 0
 }
 
-// ValleyFreeDist returns, for every AS reachable from src over
-// valley-free paths under t, the minimum valley-free hop distance.
-// Links with an Unknown relationship are not traversable.
-func (g *Graph) ValleyFreeDist(t *intern.Table, src asrel.ASN) map[asrel.ASN]int {
-	return g.vfDist(t, src, false)
+// Walker runs relationship-aware traversals — customer cones and
+// valley-free BFS — over one graph whose edges are annotated under one
+// table. Walk makes the annotation once; every traversal then reads it
+// as an array load per edge. A Walker reuses its scratch across calls,
+// so it is not safe for concurrent use: make one per goroutine (the
+// Graph itself is shared freely).
+type Walker struct {
+	g    *Graph
+	rels []asrel.Rel // EdgeRels of g under the table
+
+	dist  []int32 // 2n: [0,n) stateUp, [n,2n) stateDown; -1 unreached
+	queue []int32
+	seen  []bool
+	cone  []int32
 }
 
-// ValleyFreeDistLenient is ValleyFreeDist under lenient semantics:
-// links with an Unknown relationship act as peerings (the most common
-// unclassified type). An AS absent from the lenient result has no
-// valley-free path from src even granting the unclassified links their
-// benign interpretation — the necessity criterion of the valley-path
-// taxonomy.
-func (g *Graph) ValleyFreeDistLenient(t *intern.Table, src asrel.ASN) map[asrel.ASN]int {
-	return g.vfDist(t, src, true)
+// Walk annotates g's edges under t for a series of traversals.
+func (g *Graph) Walk(t *intern.Table) *Walker {
+	return &Walker{g: g, rels: g.EdgeRels(t)}
 }
 
-func (g *Graph) vfDist(t *intern.Table, src asrel.ASN, lenient bool) map[asrel.ASN]int {
-	c := g.freeze()
-	s, ok := c.Index(src)
-	if !ok {
-		return map[asrel.ASN]int{}
+// Cone returns the node indexes of root's customer cone: every node
+// reachable from root by descending p2c links, excluding root. The
+// slice is reused by the next Cone call.
+func (w *Walker) Cone(root int32) []int32 {
+	g := w.g
+	if w.seen == nil {
+		w.seen = make([]bool, g.NumNodes())
 	}
-	dist := vfBFS(c, c.EdgeRels(t), s, nil, lenient)
-	out := make(map[asrel.ASN]int)
-	n := int32(c.NumNodes())
-	for i := int32(0); i < n; i++ {
-		d := minState(dist, i, n)
-		if d >= 0 {
-			out[c.ASNs[i]] = d
+	w.seen[root] = true
+	stack := append(w.queue[:0], root)
+	members := w.cone[:0]
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for p := g.off[u]; p < g.off[u+1]; p++ {
+			v := g.nbr[p]
+			if !w.seen[v] && w.rels[p] == asrel.P2C {
+				w.seen[v] = true
+				members = append(members, v)
+				stack = append(stack, v)
+			}
 		}
 	}
-	return out
+	w.seen[root] = false
+	for _, m := range members {
+		w.seen[m] = false
+	}
+	w.queue, w.cone = stack, members
+	return members
 }
 
-// ValleyFreeReachable reports whether dst is reachable from src over a
-// valley-free path under t.
-func (g *Graph) ValleyFreeReachable(t *intern.Table, src, dst asrel.ASN) bool {
-	if src == dst {
-		return g.HasNode(src)
+// ValleyFree runs the two-state product-graph BFS from node index s;
+// Dist then reads the result. Links of Unknown relationship are not
+// traversable, or act as peerings when lenient is set. An AS left
+// unreached under lenient semantics has no valley-free path from s even
+// granting the unclassified links their benign interpretation — the
+// necessity criterion of the valley-path taxonomy.
+func (w *Walker) ValleyFree(s int32, lenient bool) {
+	g := w.g
+	n := int32(g.NumNodes())
+	if w.dist == nil {
+		w.dist = make([]int32, 2*n)
 	}
-	c := g.freeze()
-	s, ok := c.Index(src)
-	if !ok {
-		return false
+	dist := w.dist
+	for i := range dist {
+		dist[i] = -1
 	}
-	d, ok := c.Index(dst)
-	if !ok {
-		return false
+	dist[s] = 0                     // (s, stateUp)
+	queue := append(w.queue[:0], s) // encoded as state*n + node
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		st, u := int(cur/n), cur%n
+		du := dist[cur]
+		for p := g.off[u]; p < g.off[u+1]; p++ {
+			mask := vfNext(st, w.rels[p], lenient)
+			for ns := int32(0); ns <= 1; ns++ {
+				if mask&(1<<ns) == 0 {
+					continue
+				}
+				code := ns*n + g.nbr[p]
+				if dist[code] >= 0 {
+					continue
+				}
+				dist[code] = du + 1
+				queue = append(queue, code)
+			}
+		}
 	}
-	dist := vfBFS(c, c.EdgeRels(t), s, &d, false)
-	return minState(dist, d, int32(c.NumNodes())) >= 0
+	w.queue = queue
 }
 
-func minState(dist []int32, i, n int32) int {
-	a, b := dist[i], dist[n+i]
+// Dist returns the shortest valley-free hop distance to node i found by
+// the last ValleyFree call, or -1 when i was not reached.
+func (w *Walker) Dist(i int32) int {
+	a, b := w.dist[i], w.dist[int32(w.g.NumNodes())+i]
 	switch {
 	case a < 0 && b < 0:
 		return -1
@@ -131,107 +155,21 @@ func minState(dist []int32, i, n int32) int {
 	}
 }
 
-// vfBFS runs the two-state product-graph BFS from source index s over
-// the frozen CSR, with every edge's relationship pre-resolved into rels
-// (aligned with c.Nbr, as CSR.EdgeRels produces) — the inner loop is
-// pure array traffic, no map probes. The returned slice has 2n entries:
-// [0,n) is stateUp distances, [n,2n) is stateDown distances, -1 meaning
-// unreached. If stop is non-nil the search terminates early once both
-// states of *stop are settled or the frontier empties.
-func vfBFS(c *intern.CSR, rels []asrel.Rel, s int32, stop *int32, wildcard bool) []int32 {
-	n := int32(c.NumNodes())
-	dist := make([]int32, 2*n)
-	for i := range dist {
-		dist[i] = -1
+// ValleyFreeDist returns, for every AS reachable from src over
+// valley-free paths under t, the minimum valley-free hop distance.
+// Links with an Unknown relationship are not traversable.
+func (g *Graph) ValleyFreeDist(t *intern.Table, src asrel.ASN) map[asrel.ASN]int {
+	out := make(map[asrel.ASN]int)
+	s, ok := g.Index(src)
+	if !ok {
+		return out
 	}
-	dist[s] = 0 // (s, stateUp)
-	queue := make([]int32, 0, 64)
-	queue = append(queue, s) // encoded as state*n + node
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		st, u := int(cur/n), cur%n
-		du := dist[cur]
-		if stop != nil && dist[*stop] >= 0 && dist[n+*stop] >= 0 {
-			break
-		}
-		for p := c.Off[u]; p < c.Off[u+1]; p++ {
-			v := c.Nbr[p]
-			mask := vfNext(st, rels[p], wildcard)
-			for ns := 0; ns <= 1; ns++ {
-				if mask&(1<<ns) == 0 {
-					continue
-				}
-				code := int32(ns)*n + v
-				if dist[code] >= 0 {
-					continue
-				}
-				dist[code] = du + 1
-				queue = append(queue, code)
-			}
+	w := g.Walk(t)
+	w.ValleyFree(s, false)
+	for i, a := range g.asns {
+		if d := w.Dist(int32(i)); d >= 0 {
+			out[a] = d
 		}
 	}
-	return dist
-}
-
-// VFStats summarizes all-pairs valley-free distances.
-type VFStats struct {
-	// Avg is the mean shortest valley-free path length over connected
-	// ordered pairs (src ≠ dst).
-	Avg float64
-	// Diameter is the maximum finite shortest valley-free path length.
-	Diameter int
-	// Pairs is the number of connected ordered pairs observed.
-	Pairs int
-}
-
-// ValleyFreeStats computes VFStats from every source in sources (all
-// nodes when sources is nil) to all reachable destinations. This is the
-// Figure-2 metric engine: run it on the union-of-customer-trees
-// subgraph. The edge relationships are resolved once and shared by
-// every per-source BFS, so the table lookup cost amortizes across the
-// whole sweep.
-func (g *Graph) ValleyFreeStats(t *intern.Table, sources []asrel.ASN) VFStats {
-	c := g.freeze()
-	n := int32(c.NumNodes())
-	var srcIdx []int32
-	if sources == nil {
-		srcIdx = make([]int32, n)
-		for i := int32(0); i < n; i++ {
-			srcIdx[i] = i
-		}
-	} else {
-		for _, a := range sources {
-			if i, ok := c.Index(a); ok {
-				srcIdx = append(srcIdx, i)
-			}
-		}
-	}
-	rels := c.EdgeRels(t)
-	var (
-		sum   int64
-		pairs int
-		diam  int
-	)
-	for _, s := range srcIdx {
-		dist := vfBFS(c, rels, s, nil, false)
-		for i := int32(0); i < n; i++ {
-			if i == s {
-				continue
-			}
-			d := minState(dist, i, n)
-			if d < 0 {
-				continue
-			}
-			sum += int64(d)
-			pairs++
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	st := VFStats{Diameter: diam, Pairs: pairs}
-	if pairs > 0 {
-		st.Avg = float64(sum) / float64(pairs)
-	}
-	return st
+	return out
 }

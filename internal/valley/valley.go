@@ -3,9 +3,14 @@
 // the rule, and which of those violations are *necessary* — no
 // valley-free alternative exists between their endpoints, so the
 // violation is the price of reachability in the partitioned IPv6 plane.
+// Classification walks each path under the relationship table; the
+// necessity test runs one valley-free BFS per vantage on the immutable
+// topology.Graph, with the graph's edges annotated once per table.
 package valley
 
 import (
+	"slices"
+
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/dataset"
 	"hybridrel/internal/intern"
@@ -163,19 +168,17 @@ func Classify(paths []*dataset.PathObs, rels *intern.Table) ([]Kind, Stats) {
 // rels under *lenient* semantics — links with an unknown relationship
 // act as peerings — so a path counts as necessary only when no
 // valley-free alternative exists even granting the unclassified links
-// their benign interpretation. One valley-free BFS per distinct vantage
-// keeps this cheap.
+// their benign interpretation. The edges are annotated once, and one
+// valley-free BFS per distinct vantage answers all of its valley paths
+// from the BFS's distance array.
 func Assess(paths []*dataset.PathObs, rels *intern.Table, g *topology.Graph) ([]Kind, Stats) {
 	kinds, st := Classify(paths, rels)
-	reach := make(map[asrel.ASN]map[asrel.ASN]int)
+	// (vantage, origin) of every valley path, vantage in the high half,
+	// so sorting groups each vantage's paths into one run.
+	var ends []uint64
 	for i, p := range paths {
 		if kinds[i] != KindValley {
 			continue
-		}
-		dist, ok := reach[p.Vantage]
-		if !ok {
-			dist = g.ValleyFreeDistLenient(rels, p.Vantage)
-			reach[p.Vantage] = dist
 		}
 		// A valley verdict implies a path of ≥3 ASes, so the origin
 		// always exists here; the guard keeps a malformed PathObs from
@@ -184,8 +187,24 @@ func Assess(paths []*dataset.PathObs, rels *intern.Table, g *topology.Graph) ([]
 		if !ok {
 			continue
 		}
-		if _, reachable := dist[origin]; !reachable {
-			st.Necessary++
+		ends = append(ends, uint64(p.Vantage)<<32|uint64(origin))
+	}
+	if len(ends) == 0 {
+		return kinds, st
+	}
+	slices.Sort(ends)
+	w := g.Walk(rels)
+	for i := 0; i < len(ends); {
+		vantage := ends[i] >> 32
+		src, found := g.Index(asrel.ASN(vantage))
+		if found {
+			w.ValleyFree(src, true)
+		}
+		for ; i < len(ends) && ends[i]>>32 == vantage; i++ {
+			dst, ok := g.Index(asrel.ASN(uint32(ends[i])))
+			if !found || !ok || w.Dist(dst) < 0 {
+				st.Necessary++
+			}
 		}
 	}
 	return kinds, st

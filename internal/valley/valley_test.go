@@ -129,15 +129,11 @@ func TestClassifyStats(t *testing.T) {
 func TestAssessNecessity(t *testing.T) {
 	// Dispute analogue: 1 and 2 unconnected tier-1s, 7 a customer of
 	// both, 20 a stub under 2.
-	g := topology.New()
 	tb := asrel.NewTable()
-	add := func(a, b asrel.ASN, r asrel.Rel) {
-		g.AddLink(a, b)
-		tb.Set(a, b, r)
-	}
-	add(1, 7, asrel.P2C)
-	add(2, 7, asrel.P2C)
-	add(2, 20, asrel.P2C)
+	tb.Set(1, 7, asrel.P2C)
+	tb.Set(2, 7, asrel.P2C)
+	tb.Set(2, 20, asrel.P2C)
+	g := topology.FromLinks(nil, tb.Keys())
 
 	leakPath := pathObs(1, 7, 2, 20) // down to 7, up to 2, down to 20
 	kinds, st := Assess([]*dataset.PathObs{leakPath}, intern.FromTable(tb), g)
@@ -153,9 +149,55 @@ func TestAssessNecessity(t *testing.T) {
 
 	// Restore the direct peering: the same valley path becomes
 	// unnecessary.
-	add(1, 2, asrel.P2P)
-	_, st2 := Assess([]*dataset.PathObs{leakPath}, intern.FromTable(tb), g)
+	tb.Set(1, 2, asrel.P2P)
+	_, st2 := Assess([]*dataset.PathObs{leakPath}, intern.FromTable(tb), topology.FromLinks(nil, tb.Keys()))
 	if st2.Valley != 1 || st2.Necessary != 0 {
 		t.Errorf("after peering restored: %+v", st2)
+	}
+}
+
+// TestAssessManyVantages interleaves valley paths of several vantages
+// — one absent from the graph, one path whose origin is absent, one
+// path repeated — so one BFS per vantage must serve its paths wherever
+// they sit in the corpus. 1 and 2 are unconnected providers of 7, 20
+// hangs under 2 and 10 under 1; 3 provides for 7 and 20; 99 and 55 have
+// relationships but no place in the graph.
+func TestAssessManyVantages(t *testing.T) {
+	tb := rels(
+		[3]int{1, 7, int(asrel.P2C)},
+		[3]int{2, 7, int(asrel.P2C)},
+		[3]int{2, 20, int(asrel.P2C)},
+		[3]int{1, 10, int(asrel.P2C)},
+		[3]int{3, 7, int(asrel.P2C)},
+		[3]int{3, 20, int(asrel.P2C)},
+		[3]int{99, 7, int(asrel.P2C)},
+		[3]int{2, 55, int(asrel.P2C)},
+	)
+	var links []asrel.LinkKey
+	tb.Each(func(k asrel.LinkKey, _ asrel.Rel) {
+		if !k.Contains(99) && !k.Contains(55) {
+			links = append(links, k)
+		}
+	})
+	g := topology.FromLinks(nil, links)
+	paths := []*dataset.PathObs{
+		pathObs(1, 7, 2, 20),     // necessary: 1 cannot climb out of its cone
+		pathObs(20, 2, 7, 1, 10), // necessary: the providers are not linked
+		pathObs(3, 7, 2, 20),     // not necessary: 3 reaches 20 directly
+		pathObs(1, 7, 2),         // necessary
+		pathObs(99, 7, 2, 20),    // necessary: the vantage is not in the graph
+		pathObs(1, 7, 2, 55),     // necessary: the origin is not in the graph
+		pathObs(1, 7, 2, 20),     // the first path again: counted again
+		pathObs(1, 7, 3),         // necessary: 1 only descends, and 3 sits above 7
+		pathObs(3, 7, 2, 20),     // the third path again: still not necessary
+	}
+	kinds, st := Assess(paths, tb, g)
+	for i, k := range kinds {
+		if k != KindValley {
+			t.Fatalf("path %d (%v) is %s, want a valley", i, paths[i].Path, k)
+		}
+	}
+	if st.Valley != 9 || st.Necessary != 7 {
+		t.Errorf("Valley = %d, Necessary = %d; want 9 and 7", st.Valley, st.Necessary)
 	}
 }
