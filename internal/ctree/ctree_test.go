@@ -72,6 +72,48 @@ func TestUnionGraph(t *testing.T) {
 	}
 }
 
+// TestMeasureUnion holds the metric's description of the union of
+// customer trees to the union graph it measures.
+func TestMeasureUnion(t *testing.T) {
+	g, tb := figure1(asrel.P2C)
+	m := MeasureTrees(g, tb, 0)
+	if m.Nodes != 5 || m.Links != 4 {
+		t.Fatalf("metric topology = %+v, want 5 nodes and 4 links", m)
+	}
+	// With 1–2 p2p the peering link leaves the union; every node stays.
+	g2, tb2 := figure1(asrel.P2P)
+	if m2 := MeasureTrees(g2, tb2, 0); m2.Nodes != 5 || m2.Links != 3 {
+		t.Errorf("p2p metric topology = %+v, want 5 nodes and 3 links", m2)
+	}
+	// Empty annotation → empty union, nothing measured.
+	empty := MeasureTrees(g, new(intern.Table), 0)
+	if empty.Nodes != 0 || empty.Links != 0 || empty.Pairs != 0 || empty.Avg != 0 {
+		t.Errorf("empty union = %+v", empty)
+	}
+}
+
+func TestMeasureUnionSampling(t *testing.T) {
+	// Chain of p2c links 1→2→…→40: sampling roots must still produce a
+	// sane (subset) measurement of the same union graph.
+	var links []link
+	for i := asrel.ASN(1); i < 40; i++ {
+		links = append(links, link{i, i + 1, asrel.P2C})
+	}
+	g, tb := world(links...)
+	rels := intern.FromTable(tb)
+	exact := MeasureTrees(g, rels, 0)
+	sampled := MeasureTrees(g, rels, 10)
+	if sampled.Pairs == 0 || sampled.Pairs >= exact.Pairs {
+		t.Errorf("sampling did not reduce work: %d vs %d", sampled.Pairs, exact.Pairs)
+	}
+	if sampled.Diameter > exact.Diameter {
+		t.Errorf("sampled diameter %d exceeds exact %d", sampled.Diameter, exact.Diameter)
+	}
+	if sampled.Nodes != exact.Nodes || sampled.Links != exact.Links {
+		t.Error("sampling changed the subgraph itself")
+	}
+}
+
 func TestMeasureTrees(t *testing.T) {
 	// Figure-1 world with 1–2 p2c: trees are 1→{2,3,4,5} at depths
 	// 1,1,2,2 and 2→{4,5} at depth 1,1: six pairs, sum 8.

@@ -384,6 +384,59 @@ func TestValleyFreeUnknownEdgesBlocked(t *testing.T) {
 	}
 }
 
+// TestValleyFreeStats aggregates valley-free distances over every
+// (source, destination) pair with one reused Walker, the way the
+// valley and ctree measurements do, and holds the totals to per-source
+// ValleyFreeDist sums and to the chain's known extremes.
+func TestValleyFreeStats(t *testing.T) {
+	g, tb := chainGraph()
+	stats := func(sources []asrel.ASN) (pairs, diameter, sum int) {
+		w := g.Walk(tb)
+		for _, src := range sources {
+			s, ok := g.Index(src)
+			if !ok {
+				continue
+			}
+			w.ValleyFree(s, false)
+			for i := int32(0); int(i) < g.NumNodes(); i++ {
+				if d := w.Dist(i); i != s && d >= 0 {
+					pairs++
+					sum += d
+					diameter = max(diameter, d)
+				}
+			}
+		}
+		return pairs, diameter, sum
+	}
+	pairs, diameter, sum := stats(g.Nodes())
+	if pairs == 0 {
+		t.Fatal("no connected pairs found")
+	}
+	if diameter != 4 {
+		t.Errorf("diameter = %d, want 4 (3→5)", diameter)
+	}
+	var wantSum, wantPairs int
+	for _, src := range g.Nodes() {
+		for dst, d := range g.ValleyFreeDist(tb, src) {
+			if dst != src {
+				wantSum += d
+				wantPairs++
+			}
+		}
+	}
+	if pairs != wantPairs || sum != wantSum {
+		t.Errorf("pairs/sum = %d/%d, want %d/%d", pairs, sum, wantPairs, wantSum)
+	}
+	// Restricting sources must shrink the pair count accordingly.
+	if p, d, _ := stats([]asrel.ASN{3}); p != 4 || d != 4 {
+		t.Errorf("source-restricted stats: %d pairs, diameter %d; want 4/4", p, d)
+	}
+	// Unknown sources are skipped silently.
+	if p, _, _ := stats([]asrel.ASN{4242}); p != 0 {
+		t.Errorf("absent source produced %d pairs", p)
+	}
+}
+
 // Property: a valley-free distance can never beat the unconstrained BFS
 // distance, and valley-free reachability implies plain reachability.
 func TestValleyFreeDominatedByBFS(t *testing.T) {
