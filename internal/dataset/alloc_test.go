@@ -1,70 +1,74 @@
 package dataset
 
-// Allocation pins for the zero-allocation ingest path: CleanPath's
-// fast path on already-canonical input, and AddPath's steady state on
-// paths the dataset has already seen.
+// Allocation pins for the zero-allocation ingest path: AddPath's
+// cleaning of already-canonical and of prepended input, and its steady
+// state on paths the dataset has already seen.
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"hybridrel/internal/asrel"
 )
 
-// TestCleanPathFastPathNoAlloc pins the satellite contract: a raw path
-// with no prepending to collapse passes through CleanPath without a
-// single allocation — and without a copy: the result is raw itself.
-func TestCleanPathFastPathNoAlloc(t *testing.T) {
-	raw := []asrel.ASN{10, 20, 30, 40, 50}
-	got, err := CleanPath(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &raw[0] {
-		t.Error("clean input was copied; fast path must return raw itself")
+// addNoAlloc ingests raw until the dataset's scratch has settled, then
+// requires a further observation of it to allocate nothing.
+func addNoAlloc(t *testing.T, d *Dataset, raw []asrel.ASN) {
+	t.Helper()
+	for i := 0; i < 8; i++ {
+		if err := d.AddPath(raw, netip.Prefix{}, nil, 0, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := CleanPath(raw); err != nil {
+		if err := d.AddPath(raw, netip.Prefix{}, nil, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("CleanPath on clean input allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("AddPath of a %d-hop path allocates %.1f objects/op, want 0", len(raw), allocs)
 	}
-	// Loops hiding in clean-shaped paths are still rejected, still
-	// without allocating the result.
-	if _, err := CleanPath([]asrel.ASN{1, 2, 3, 1}); err == nil {
+}
+
+// TestAddPathFastPathNoAlloc pins cleaning of canonical input — no
+// prepending to collapse — at zero allocations, for a short path
+// (pairwise loop check) and for one past cleanPathQuadraticMax hops
+// (the reused map), and checks that loops hiding in clean-shaped paths
+// are still rejected on both branches.
+func TestAddPathFastPathNoAlloc(t *testing.T) {
+	d := New(asrel.IPv4)
+	raw := []asrel.ASN{10, 20, 30, 40, 50}
+	addNoAlloc(t, d, raw)
+	if err := d.AddPath([]asrel.ASN{1, 2, 3, 1}, netip.Prefix{}, nil, 0, false); err == nil {
 		t.Error("loop in clean-shaped path accepted")
 	}
-	// A long clean path crosses into the map-checked branch and must
-	// still pass through uncopied.
 	long := make([]asrel.ASN, cleanPathQuadraticMax+8)
 	for i := range long {
 		long[i] = asrel.ASN(i + 1)
 	}
-	got, err = CleanPath(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &long[0] {
-		t.Error("long clean input was copied")
-	}
-	long[len(long)-1] = long[0]
-	if _, err := CleanPath(long); err == nil {
+	addNoAlloc(t, d, long)
+	looped := append(append([]asrel.ASN(nil), long...), long[0])
+	if err := d.AddPath(looped, netip.Prefix{}, nil, 0, false); err == nil {
 		t.Error("loop in long clean-shaped path accepted")
+	}
+	if d.NumUniquePaths() != 2 {
+		t.Errorf("unique paths = %d, want 2", d.NumUniquePaths())
 	}
 }
 
-// TestCleanPathSlowPathStillCopies pins the other branch: prepended
-// input is collapsed into a fresh slice, as before.
-func TestCleanPathSlowPathStillCopies(t *testing.T) {
+// TestAddPathSlowPathKeepsRaw pins the other branch: prepended input
+// collapses into the dataset's reused scratch — never in place, so the
+// caller's slice is left as it was — without allocating once warm.
+func TestAddPathSlowPathKeepsRaw(t *testing.T) {
+	d := New(asrel.IPv4)
 	raw := []asrel.ASN{1, 1, 2, 3}
-	got, err := CleanPath(raw)
-	if err != nil {
-		t.Fatal(err)
+	addNoAlloc(t, d, raw)
+	if want := []asrel.ASN{1, 1, 2, 3}; !slices.Equal(raw, want) {
+		t.Errorf("raw path modified to %v", raw)
 	}
-	if len(got) != 3 || &got[0] == &raw[0] {
-		t.Errorf("collapsed path = %v (aliases raw: %v)", got, &got[0] == &raw[0])
+	if got := d.Paths()[0].Path; !slices.Equal(got, []asrel.ASN{1, 2, 3}) {
+		t.Errorf("collapsed path = %v", got)
 	}
 }
 

@@ -1,21 +1,38 @@
 // Package dataset assembles the observed measurement data the paper
-// works with: it ingests MRT TABLE_DUMP_V2 archives, cleans the AS
-// paths (prepending removal, loop and AS_SET rejection), deduplicates
-// them, extracts the AS-level links of one address-family plane, and
-// joins two planes into the dual-stack link set.
+// works with: it ingests MRT TABLE_DUMP_V2 archives and live UPDATE
+// feeds, cleans the AS paths (prepending removal, loop and AS_SET
+// rejection), deduplicates them, extracts the AS-level links of one
+// address-family plane, and joins two planes into the dual-stack link
+// set.
 //
 // Everything downstream — the baseline inference algorithms, the
 // communities miner, the LocPrf calibration, the valley analysis —
 // consumes a Dataset, never the generator's ground truth.
 //
+// One table serves batch and live ingest. Every route enters through
+// Admit (AddMRT and the live applier alike), which retains its cleaned
+// path: each unique path is one record carrying a reference count,
+// the record's links enter the link index when the count goes 0→1 and
+// leave it when Release takes it back to 0. A batch dataset is simply
+// one nobody releases from. Records are never deleted — a withdrawn-
+// then-reannounced path reactivates its old record, keeping the hot
+// loop allocation-free under flapping — and every derived product
+// (the flat link index, Paths, Vantages, the counts) reflects the
+// active records only.
+//
+// Record indexes are the handles Retain returns and Release takes.
+// Freeze and Merge renumber records into canonical path order, so a
+// caller holding handles must never call them; the live applier never
+// does, and batch ingest holds none.
+//
 // The ingest hot path is allocation-free in the steady state: paths are
 // interned into one grown arena of dense uint32 AS identifiers,
 // deduplicated through an open-addressed hash over the interned
-// sequence (no per-observation key strings), and link occurrences
-// accumulate directly into an open-addressed counter that freezes into
-// the sorted intern.Counts index on first query. Per-path costs are
+// sequence (no per-observation key strings), and link activations
+// and releases accumulate into open-addressed counters that fold into
+// the sorted intern.Counts index on the next query. Per-path costs are
 // paid only for *unique* paths; a duplicate observation touches nothing
-// but a hash probe and an observation counter.
+// but a hash probe and two counters.
 package dataset
 
 import (
@@ -55,7 +72,7 @@ type PathObs struct {
 
 // Origin returns the last AS of the path. The second return is false
 // for a zero-length path — a PathObs this package never constructs
-// (CleanPath rejects empty raw paths), but one a future caller or a
+// (admission rejects empty paths), but one a future caller or a
 // decoded artifact could hand us; indexing Path[len-1] unguarded would
 // panic on it.
 func (p *PathObs) Origin() (asrel.ASN, bool) {
@@ -100,7 +117,9 @@ func (p packedPrefix) unpack() netip.Prefix {
 // first observed prefix packed inline (the overwhelmingly common shape
 // is one prefix per path), and any further prefixes in the dataset's
 // overflow table at moreIdx. hash caches the dedup hash so table
-// growth re-probes without recomputing it.
+// growth re-probes without recomputing it. refs counts the routes
+// currently retaining the path (zero once every one was released);
+// obs counts every route that ever retained it.
 //
 // The record is deliberately pointer-free: the recs array is the
 // largest allocation ingestion grows, and keeping it out of the
@@ -110,6 +129,7 @@ type pathRec struct {
 	off, end         uint32
 	commOff, commEnd uint32
 	hash             uint32
+	refs             int32
 	obs              int32
 	locPrf           uint32
 	moreIdx          int32 // index into morePrefixes, -1 when none
@@ -165,10 +185,10 @@ func (d *Dataset) numPrefixes(r *pathRec) int {
 // Unique paths are stored as interned uint32 sequences in one arena
 // slice with per-path records alongside; deduplication probes an
 // open-addressed table keyed by a hash of the interned sequence. Link
-// occurrences are accumulated in an open-addressed counter and folded
-// on first query into a sorted intern.Counts — the interned
-// representation every link lookup, the dual-stack join, and the
-// snapshot capture run on. The fold is incremental: only occurrences
+// activations and releases are accumulated in open-addressed counters
+// and folded on the next query into a sorted intern.Counts — the
+// interned representation every link lookup, the dual-stack join, and
+// the snapshot capture run on. The fold is incremental: only deltas
 // that arrived since the last freeze are sorted and merged into the
 // standing index, so steady-state memory is O(distinct links), not
 // O(occurrences).
@@ -183,7 +203,7 @@ type Dataset struct {
 
 	// tab is the open-addressed dedup index: slot values are rec index
 	// plus one, zero meaning empty. nil after a Merge (merged datasets
-	// are usually only queried); the next AddPath rebuilds it.
+	// are usually only queried); the next Retain rebuilds it.
 	tab []int32
 
 	// sorted reports that recs is in canonical path order (lexicographic
@@ -191,34 +211,33 @@ type Dataset struct {
 	// Paths() returns. Appending an out-of-order path clears it.
 	sorted bool
 
-	cleanScratch []asrel.ASN        // collapsed-path scratch for AddPath
-	flatScratch  []asrel.ASN        // flattened AS-path scratch for AddMRT
+	cleanScratch []asrel.ASN        // collapsed-path scratch for Retain
+	flatScratch  []asrel.ASN        // flattened AS-path scratch for Admit
 	longSeen     map[asrel.ASN]bool // loop-check scratch for long paths
 
-	// mutations counts mutating calls; the materialized path cache
-	// records the count it was built at and rebuilds when it moved.
-	mutations uint64
+	active int // records with refs > 0
 
-	// flatMu guards the lazily-built flat index and the materialized
-	// path cache: derived-product accessors may race on the first query
-	// after ingest. Mutation concurrent with queries remains
-	// unsupported, as it always was — which is why AddPath itself takes
-	// no lock.
-	flatMu    sync.Mutex
-	accum     intern.CountsAccum // occurrences not yet folded into flat
-	flat      *intern.Counts     // nil until the first freeze
-	pathsMemo []*PathObs         // materialized Paths(); nil when stale
-	memoAt    uint64             // mutation count pathsMemo was built at
+	// flatMu guards the lazily-built flat index and the Paths cache:
+	// derived-product accessors may race on the first query after
+	// ingest. Mutation concurrent with queries remains unsupported —
+	// which is why Retain itself takes no lock.
+	flatMu sync.Mutex
+	accum  intern.CountsAccum // link activations not yet folded into flat
+	neg    intern.CountsAccum // link releases not yet folded into flat
+	flat   *intern.Counts     // nil until the first freeze
+
+	// The Paths cache: the record indexes in canonical path order as of
+	// the last Paths call, extended by the records created since, and
+	// each record's materialized view, kept until Retain or Release
+	// changes the record. Freeze and Merge renumber records and drop
+	// both.
+	order []int32
+	views []*PathObs
 
 	// ingest tallies
 	observations int
 	droppedSets  int
 	droppedLoops int
-	skippedAF    int
-
-	// live is the delta layer of a streaming dataset (NewLive); nil
-	// for batch datasets, whose behavior is unchanged.
-	live *liveState
 }
 
 // New returns an empty dataset for one plane.
@@ -230,65 +249,9 @@ func New(af asrel.AF) *Dataset {
 	}
 }
 
-// cleanPathQuadraticMax bounds the pairwise loop check of CleanPath's
-// allocation-free fast path; real AS paths are far shorter.
+// cleanPathQuadraticMax bounds the pairwise loop check of cleanScr's
+// map-free branch; real AS paths are far shorter.
 const cleanPathQuadraticMax = 32
-
-// CleanPath canonicalizes a raw AS path: consecutive duplicates
-// (prepending) are collapsed; a path in which an AS reappears
-// non-consecutively is a loop and is rejected. When raw is already
-// canonical — no prepending to collapse — raw itself is returned
-// without copying; callers that intend to mutate the result must copy
-// it first.
-func CleanPath(raw []asrel.ASN) ([]asrel.ASN, error) {
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("dataset: empty AS path")
-	}
-	clean := true
-	for i := 1; i < len(raw); i++ {
-		if raw[i] == raw[i-1] {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		if len(raw) <= cleanPathQuadraticMax {
-			// Pairwise loop check: allocation-free, and quadratic only
-			// in the (tiny, bounded) path length.
-			for i := 1; i < len(raw); i++ {
-				for j := 0; j < i; j++ {
-					if raw[j] == raw[i] {
-						return nil, fmt.Errorf("dataset: AS path loop through %s", raw[i])
-					}
-				}
-			}
-			return raw, nil
-		}
-		seen := make(map[asrel.ASN]bool, len(raw))
-		for _, a := range raw {
-			if seen[a] {
-				return nil, fmt.Errorf("dataset: AS path loop through %s", a)
-			}
-			seen[a] = true
-		}
-		return raw, nil
-	}
-	out := make([]asrel.ASN, 0, len(raw))
-	for _, a := range raw {
-		if len(out) > 0 && out[len(out)-1] == a {
-			continue // prepending
-		}
-		out = append(out, a)
-	}
-	seen := make(map[asrel.ASN]bool, len(out))
-	for _, a := range out {
-		if seen[a] {
-			return nil, fmt.Errorf("dataset: AS path loop through %s", a)
-		}
-		seen[a] = true
-	}
-	return out, nil
-}
 
 // cleanScr collapses prepending into the dataset's reusable scratch and
 // rejects loops, all without allocating in the steady state. The
@@ -419,10 +382,8 @@ func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
 	}
 }
 
-// AddPath records one raw path observation. Paths are cleaned and
-// deduplicated; repeated observations merge their prefixes and keep the
-// first-seen attributes (identical vantages announce identical
-// attributes for one path).
+// AddPath records one raw path observation: Retain without the handle,
+// for callers that never release.
 //
 // The steady-state cost of a duplicate observation — by far the common
 // case at route-collector scale — is one hash over the cleaned AS
@@ -431,45 +392,106 @@ func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
 //
 //hybridrel:hotpath
 func (d *Dataset) AddPath(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Community, locPrf uint32, hasLocPrf bool) error {
+	_, _, err := d.Retain(raw, prefix, comms, locPrf, hasLocPrf)
+	return err
+}
+
+// Retain records one route: the raw path is cleaned and deduplicated,
+// and the route takes a reference on the path's record. It returns the
+// record index — the handle a RIB keeps and later passes to Release —
+// and whether the path went from inactive to active (first sight, or
+// re-announcement after its last release), which is when its links
+// enter the link index. Repeated observations merge their prefixes and
+// keep the first-seen attributes: a vantage announces identical
+// attributes for one path, so a revived record's stored attributes are
+// still the right ones. A loop is tallied and rejected.
+//
+//hybridrel:hotpath
+func (d *Dataset) Retain(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Community, locPrf uint32, hasLocPrf bool) (idx int32, activated bool, err error) {
 	d.observations++
-	d.mutations++
 	p, err := d.cleanScr(raw)
 	if err != nil {
 		d.droppedLoops++
-		return err
+		return -1, false, err
 	}
-	idx, created := d.addRec(p, comms, locPrf, hasLocPrf)
-	if created {
+	idx = d.addRec(p, comms, locPrf, hasLocPrf)
+	rec := &d.recs[idx]
+	if rec.refs == 0 {
+		activated = true
+		d.active++
 		for i := 1; i < len(p); i++ {
 			d.accum.Add(asrel.Key(p[i-1], p[i]), 1)
 		}
 	}
-	rec := &d.recs[idx]
+	rec.refs++
 	rec.obs++
+	if int(idx) < len(d.views) {
+		d.views[idx] = nil // Obs moves on every Retain; the view is stale
+	}
 	if prefix.IsValid() {
 		if packed := packPrefix(prefix); !d.hasPrefix(rec, packed) {
 			d.addPrefix(rec, packed)
 		}
 	}
-	return nil
+	return idx, activated, nil
 }
 
-// addRec dedups the cleaned path p, inserting a new record with the
-// given first-seen attributes when absent. Link accounting is the
-// caller's: AddPath counts links at record creation, the live layer at
-// refcount activation.
+// Release drops one reference to the record, reporting whether the
+// path went inactive (its links leave the link index on the next
+// fold). Releasing an inactive record is a caller bug and panics.
+func (d *Dataset) Release(idx int32) (deactivated bool) {
+	if idx < 0 || int(idx) >= len(d.recs) || d.recs[idx].refs == 0 {
+		panic(fmt.Sprintf("dataset: Release of inactive record %d", idx))
+	}
+	r := &d.recs[idx]
+	r.refs--
+	if r.refs > 0 {
+		return false
+	}
+	d.active--
+	if int(idx) < len(d.views) {
+		d.views[idx] = nil // invisible until revived, and revival re-Retains
+	}
+	seq := d.arena[r.off:r.end]
+	for i := 1; i < len(seq); i++ {
+		d.neg.Add(asrel.Key(d.in.ASN(seq[i-1]), d.in.ASN(seq[i])), 1)
+	}
+	return true
+}
+
+// ActiveRefs returns the total number of route references currently
+// held across all records — one per retained route. For a live
+// applier at quiescence it must match the RIB size; a surplus means a
+// leaked Retain, a deficit a double Release.
+func (d *Dataset) ActiveRefs() int {
+	total := 0
+	for i := range d.recs {
+		total += int(d.recs[i].refs)
+	}
+	return total
+}
+
+// RecObs materializes record idx as a PathObs, active or not — the
+// view an incremental inference engine mines when the record's
+// activation state flips.
+func (d *Dataset) RecObs(idx int32) *PathObs {
+	return d.materialize(idx)
+}
+
+// addRec dedups the cleaned path p, inserting an unreferenced record
+// with the given first-seen attributes when absent, and returns its
+// index.
 //
 //hybridrel:hotpath
-func (d *Dataset) addRec(p []asrel.ASN, comms []bgp.Community, locPrf uint32, hasLocPrf bool) (idx int32, created bool) {
+func (d *Dataset) addRec(p []asrel.ASN, comms []bgp.Community, locPrf uint32, hasLocPrf bool) int32 {
 	if d.tab == nil || (len(d.recs)+1)*4 > len(d.tab)*3 {
 		d.rehash()
 	}
 	h := hashASNs(p)
-	idx = d.find(h, p)
-	if idx >= 0 {
-		return idx, false
+	if idx := d.find(h, p); idx >= 0 {
+		return idx
 	}
-	idx = int32(len(d.recs))
+	idx := int32(len(d.recs))
 	off := uint32(len(d.arena))
 	for _, a := range p {
 		d.arena = append(d.arena, d.in.Intern(a))
@@ -487,42 +509,43 @@ func (d *Dataset) addRec(p []asrel.ASN, comms []bgp.Community, locPrf uint32, ha
 	if d.sorted && idx > 0 && d.comparePathAt(idx, idx-1) < 0 {
 		d.sorted = false
 	}
-	return idx, true
+	return idx
 }
 
-// AddMRT ingests a TABLE_DUMP_V2 archive, keeping only RIB records of
-// this dataset's plane. Records of other types or planes are counted
-// and skipped; malformed records abort with an error. The decode runs
-// through the reader's visitor path, so a record costs no allocations
-// beyond the unique paths it contributes.
+// Admit is the route-admission step batch and live ingest share. The
+// route's effective AS path (AS4_PATH merged in) is rejected when it
+// holds an AS_SET or flattens to nothing, then cleaned and retained
+// for prefix with the route's communities and LOCAL_PREF. Every call
+// is one observation, and a rejected route is tallied as a set or a
+// loop drop; ok is false then. Otherwise idx and activated are
+// Retain's.
+func (d *Dataset) Admit(attrs *bgp.Attrs, prefix netip.Prefix) (idx int32, activated, ok bool) {
+	if path := attrs.EffectivePath(); !path.HasSet() {
+		d.flatScratch = path.AppendFlatten(d.flatScratch[:0])
+		if len(d.flatScratch) > 0 {
+			idx, activated, err := d.Retain(d.flatScratch, prefix, attrs.Communities, attrs.LocalPref, attrs.HasLocalPref)
+			return idx, activated, err == nil
+		}
+	}
+	d.observations++
+	d.droppedSets++
+	return -1, false, false
+}
+
+// AddMRT ingests a TABLE_DUMP_V2 archive, admitting every RIB entry of
+// this dataset's plane. Records of other types or planes are skipped;
+// malformed records abort with an error. The decode runs through the
+// reader's visitor path, so a record costs no allocations beyond the
+// unique paths it contributes.
 func (d *Dataset) AddMRT(r io.Reader) error {
 	mr := mrt.NewReader(r)
 	return mr.Visit(func(rec *mrt.Record) error {
 		rib, ok := rec.Message.(*mrt.RIB)
-		if !ok {
-			return nil
-		}
-		v6 := rib.Prefix.Addr().Is6()
-		if (d.AF == asrel.IPv6) != v6 {
-			d.skippedAF++
+		if !ok || (d.AF == asrel.IPv6) != rib.Prefix.Addr().Is6() {
 			return nil
 		}
 		for i := range rib.Entries {
-			e := &rib.Entries[i]
-			path := e.Attrs.EffectivePath()
-			if path.HasSet() {
-				d.observations++
-				d.droppedSets++
-				continue
-			}
-			d.flatScratch = path.AppendFlatten(d.flatScratch[:0])
-			if len(d.flatScratch) == 0 {
-				d.observations++
-				d.droppedSets++
-				continue
-			}
-			// Errors here are loop drops, already tallied.
-			_ = d.AddPath(d.flatScratch, rib.Prefix, e.Attrs.Communities, e.Attrs.LocalPref, e.Attrs.HasLocalPref)
+			d.Admit(&rib.Entries[i].Attrs, rib.Prefix)
 		}
 		return nil
 	})
@@ -561,15 +584,11 @@ func comparePaths(a *Dataset, ra *pathRec, b *Dataset, rb *pathRec) int {
 	return 0
 }
 
-// sortedIndex returns the record indexes in canonical path order
-// without mutating the dataset (safe under the query lock).
-func (d *Dataset) sortedIndex() []int32 {
-	idx := make([]int32, len(d.recs))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	if !d.sorted {
-		d.sortRecs(idx)
+// recsFrom returns the record indexes from lo to the last, ascending.
+func (d *Dataset) recsFrom(lo int) []int32 {
+	idx := make([]int32, 0, len(d.recs)-lo)
+	for ri := lo; ri < len(d.recs); ri++ {
+		idx = append(idx, int32(ri))
 	}
 	return idx
 }
@@ -648,40 +667,32 @@ func (d *Dataset) ensureSorted() {
 	if d.sorted {
 		return
 	}
-	idx := d.sortedIndex()
+	idx := d.recsFrom(0)
+	d.sortRecs(idx)
 	arena := make([]uint32, 0, len(d.arena))
 	recs := make([]pathRec, 0, len(d.recs))
-	var refs []int32
-	if d.live != nil {
-		refs = make([]int32, 0, len(d.live.refs))
-	}
 	for _, ri := range idx {
 		r := d.recs[ri]
 		off := uint32(len(arena))
 		arena = append(arena, d.arena[r.off:r.end]...)
 		r.off, r.end = off, uint32(len(arena))
 		recs = append(recs, r)
-		if d.live != nil {
-			refs = append(refs, d.live.refs[ri])
-		}
 	}
 	d.arena, d.recs = arena, recs
-	if d.live != nil {
-		// Record indexes moved: the live Paths order and views restart.
-		d.live.refs = refs
-		d.live.obs, d.live.order = make([]*PathObs, len(recs)), nil
-	}
 	d.sorted = true
-	d.tab = nil // record indexes moved; rebuilt on the next AddPath
-	d.mutations++
+	// Record indexes moved: the dedup table is rebuilt on the next
+	// Retain, and the Paths order and views restart.
+	d.tab = nil
+	d.order, d.views = nil, nil
 }
 
 // Freeze finalizes ingestion into the frozen form the merge and the
-// query accessors consume: pending link occurrences fold into the flat
+// query accessors consume: pending link deltas fold into the flat
 // index and the path table sorts into canonical order. Pipeline workers
 // call it on their shard before the merge, moving the sort cost into
 // the parallel phase. Freeze is idempotent, and further mutation stays
-// legal — the next query or merge simply re-freezes.
+// legal — the next query or merge simply re-freezes. Sorting renumbers
+// the records, so a caller holding Retain handles must not call it.
 func (d *Dataset) Freeze() {
 	d.flatMu.Lock()
 	d.flatLocked()
@@ -695,8 +706,10 @@ func (d *Dataset) Freeze() {
 // the same archives in that order would have: paths new to d are
 // adopted with their first-seen attributes, paths d already holds keep
 // d's attributes and gain other's prefixes and observation counts, and
-// the ingest tallies sum. Merge takes ownership of other's records;
-// other must not be used afterwards.
+// the ingest tallies sum, as do the records' reference counts. Merge
+// takes ownership of other's records; other must not be used
+// afterwards. It renumbers d's records, so a caller holding Retain
+// handles on either dataset must not call it.
 //
 // Both path tables are frozen sorted and merged with one two-pointer
 // walk; the frozen link indexes merge the same way, with the links of
@@ -721,6 +734,7 @@ func (d *Dataset) Merge(other *Dataset) error {
 	// interning hop by hop. Zero marks an id not yet translated.
 	ids := make([]uint32, other.in.Len())
 	var dup intern.CountsAccum
+	active := 0
 
 	adopt := func(src *Dataset, r pathRec, foreign bool) {
 		off := uint32(len(arena))
@@ -746,6 +760,9 @@ func (d *Dataset) Merge(other *Dataset) error {
 		}
 		r.off, r.end = off, uint32(len(arena))
 		recs = append(recs, r)
+		if r.refs > 0 {
+			active++
+		}
 	}
 
 	i, j := 0, 0
@@ -760,9 +777,12 @@ func (d *Dataset) Merge(other *Dataset) error {
 		default:
 			// Same path in both shards: d's attributes win, counts sum,
 			// other's new prefixes append in their observed order, and
-			// the links other counted for this path are subtracted once.
+			// when both shards counted this path's links, other's count
+			// is subtracted once.
 			r := d.recs[i]
 			o := &other.recs[j]
+			both := r.refs > 0 && o.refs > 0
+			r.refs += o.refs
 			r.obs += o.obs
 			if o.prefix0.valid && !d.hasPrefix(&r, o.prefix0) {
 				d.addPrefix(&r, o.prefix0)
@@ -774,9 +794,11 @@ func (d *Dataset) Merge(other *Dataset) error {
 					}
 				}
 			}
-			seq := other.arena[o.off:o.end]
-			for k := 1; k < len(seq); k++ {
-				dup.Add(asrel.Key(other.in.ASN(seq[k-1]), other.in.ASN(seq[k])), 1)
+			if both {
+				seq := other.arena[o.off:o.end]
+				for k := 1; k < len(seq); k++ {
+					dup.Add(asrel.Key(other.in.ASN(seq[k-1]), other.in.ASN(seq[k])), 1)
+				}
 			}
 			adopt(d, r, false)
 			i, j = i+1, j+1
@@ -789,28 +811,26 @@ func (d *Dataset) Merge(other *Dataset) error {
 		adopt(other, other.recs[j], true)
 	}
 
-	d.arena, d.recs = arena, recs
+	d.arena, d.recs, d.active = arena, recs, active
 	d.sorted = true
 	d.tab = nil
-	d.mutations++
 
 	d.flatMu.Lock()
 	d.flat = intern.SubCounts(intern.MergeCounts(dFlat, oFlat), dup.Freeze())
-	d.accum = intern.CountsAccum{}
-	d.pathsMemo = nil
+	d.accum, d.neg = intern.CountsAccum{}, intern.CountsAccum{}
+	d.order, d.views = nil, nil
 	d.flatMu.Unlock()
 
 	d.observations += other.observations
 	d.droppedSets += other.droppedSets
 	d.droppedLoops += other.droppedLoops
-	d.skippedAF += other.skippedAF
 	return nil
 }
 
-// flatLocked folds any pending occurrences into the frozen index.
+// flatLocked folds any pending link deltas into the frozen index.
 // Callers hold flatMu.
 func (d *Dataset) flatLocked() *intern.Counts {
-	if d.flat == nil || d.accum.Len() > 0 || (d.live != nil && d.live.neg.Len() > 0) {
+	if d.flat == nil || d.accum.Len() > 0 || d.neg.Len() > 0 {
 		batch := d.accum.Freeze()
 		if d.flat == nil {
 			d.flat = batch
@@ -818,13 +838,13 @@ func (d *Dataset) flatLocked() *intern.Counts {
 			d.flat = intern.MergeCounts(d.flat, batch)
 		}
 		d.accum.Reset()
-		if d.live != nil && d.live.neg.Len() > 0 {
-			// Withdrawal deltas: links whose last active path went
-			// away since the previous fold. Subtraction drops counts
-			// that reach zero, so the flat index always reflects the
+		if d.neg.Len() > 0 {
+			// Release deltas: links whose last active path went away
+			// since the previous fold. Subtraction drops counts that
+			// reach zero, so the flat index always reflects the
 			// currently-active paths only.
-			d.flat = intern.SubCounts(d.flat, d.live.neg.Freeze())
-			d.live.neg.Reset()
+			d.flat = intern.SubCounts(d.flat, d.neg.Freeze())
+			d.neg.Reset()
 		}
 	}
 	return d.flat
@@ -839,14 +859,9 @@ func (d *Dataset) Flat() *intern.Counts {
 	return d.flatLocked()
 }
 
-// NumUniquePaths returns the number of distinct cleaned AS paths; for
-// a live dataset, the number of currently-active ones.
-func (d *Dataset) NumUniquePaths() int {
-	if d.live != nil {
-		return d.live.active
-	}
-	return len(d.recs)
-}
+// NumUniquePaths returns the number of distinct cleaned AS paths
+// currently retained.
+func (d *Dataset) NumUniquePaths() int { return d.active }
 
 // NumObservations returns the number of raw path observations ingested,
 // including dropped ones.
@@ -856,28 +871,61 @@ func (d *Dataset) NumObservations() int { return d.observations }
 // for loops.
 func (d *Dataset) Dropped() (sets, loops int) { return d.droppedSets, d.droppedLoops }
 
-// Paths returns all unique path observations ordered by (vantage,
-// path) — for a live dataset, the currently-active ones. The PathObs
-// values are materialized once and cached until the next mutation (on
-// a live dataset, until a mutation of that path's record); the
-// returned slice is the caller's.
+// Paths returns the currently-retained unique path observations
+// ordered by (vantage, path). It is incremental: the canonical record
+// order persists across calls, and only records created since the last
+// call are sorted, then merged into it. Each record's PathObs is
+// materialized once and reused until Retain or Release changes the
+// record, so a call re-materializes only the records touched since the
+// previous one. The returned slice is the caller's.
 func (d *Dataset) Paths() []*PathObs {
 	d.flatMu.Lock()
 	defer d.flatMu.Unlock()
-	if d.live != nil {
-		return d.livePaths()
-	}
-	if d.pathsMemo == nil || d.memoAt != d.mutations {
-		memo := make([]*PathObs, 0, len(d.recs))
-		for _, ri := range d.sortedIndex() {
-			memo = append(memo, d.materialize(ri))
+	if n := len(d.order); n < len(d.recs) {
+		fresh := d.recsFrom(n)
+		if d.sorted {
+			// Every record is in canonical order already, and the
+			// standing order is the identity.
+			d.order = append(d.order, fresh...)
+		} else {
+			d.sortRecs(fresh)
+			d.order = d.mergeOrder(d.order, fresh)
 		}
-		d.pathsMemo = memo
-		d.memoAt = d.mutations
 	}
-	out := make([]*PathObs, len(d.pathsMemo))
-	copy(out, d.pathsMemo)
+	if n := len(d.recs) - len(d.views); n > 0 {
+		d.views = append(d.views, make([]*PathObs, n)...)
+	}
+	out := make([]*PathObs, 0, d.active)
+	for _, ri := range d.order {
+		if d.recs[ri].refs == 0 {
+			continue // released path; invisible until retained again
+		}
+		p := d.views[ri]
+		if p == nil {
+			p = d.materialize(ri)
+			d.views[ri] = p
+		}
+		out = append(out, p)
+	}
 	return out
+}
+
+// mergeOrder merges two canonically sorted runs of record indexes.
+// Paths are unique, so no two records compare equal.
+func (d *Dataset) mergeOrder(old, fresh []int32) []int32 {
+	out := make([]int32, 0, len(old)+len(fresh))
+	i, j := 0, 0
+	for i < len(old) && j < len(fresh) {
+		if d.comparePathAt(old[i], fresh[j]) < 0 {
+			out = append(out, old[i])
+			i++
+		} else {
+			out = append(out, fresh[j])
+			j++
+		}
+	}
+	out = append(out, old[i:]...)
+	return append(out, fresh[j:]...)
 }
 
 // materialize builds the PathObs view of one record. The path slice is
@@ -937,11 +985,12 @@ func (d *Dataset) Graph() *topology.Graph {
 	return topology.FromLinks(nil, d.Flat().Keys())
 }
 
-// Vantages returns the distinct vantage ASes seen, ascending.
+// Vantages returns the distinct vantage ASes of the retained paths,
+// ascending.
 func (d *Dataset) Vantages() []asrel.ASN {
 	out := make([]asrel.ASN, 0, len(d.recs))
 	for i := range d.recs {
-		if d.live != nil && d.live.refs[i] == 0 {
+		if d.recs[i].refs == 0 {
 			continue
 		}
 		out = append(out, d.in.ASN(d.arena[d.recs[i].off]))

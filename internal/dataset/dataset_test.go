@@ -11,20 +11,95 @@ import (
 	"hybridrel/internal/mrt"
 )
 
-func TestCleanPath(t *testing.T) {
-	got, err := CleanPath([]asrel.ASN{1, 1, 2, 2, 2, 3})
-	if err != nil || !reflect.DeepEqual(got, []asrel.ASN{1, 2, 3}) {
-		t.Errorf("prepend collapse = %v, %v", got, err)
+// TestAddPathCleaning pins path cleaning on ingest: prepending
+// collapses, a loop or an empty path is rejected and tallied, a
+// single-AS path is kept, and a path longer than the pairwise loop
+// check's bound goes through the map-checked branch with the same
+// verdicts.
+func TestAddPathCleaning(t *testing.T) {
+	d := New(asrel.IPv4)
+	if err := d.AddPath([]asrel.ASN{1, 1, 2, 2, 2, 3}, netip.Prefix{}, nil, 0, false); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := CleanPath([]asrel.ASN{1, 2, 1}); err == nil {
+	if got := d.Paths()[0].Path; !reflect.DeepEqual(got, []asrel.ASN{1, 2, 3}) {
+		t.Errorf("prepend collapse = %v", got)
+	}
+	if err := d.AddPath([]asrel.ASN{1, 2, 1}, netip.Prefix{}, nil, 0, false); err == nil {
 		t.Error("loop accepted")
 	}
-	if _, err := CleanPath(nil); err == nil {
+	if err := d.AddPath(nil, netip.Prefix{}, nil, 0, false); err == nil {
 		t.Error("empty path accepted")
 	}
-	single, err := CleanPath([]asrel.ASN{7})
-	if err != nil || len(single) != 1 {
-		t.Error("single-AS path rejected")
+	if err := d.AddPath([]asrel.ASN{7}, netip.Prefix{}, nil, 0, false); err != nil {
+		t.Errorf("single-AS path rejected: %v", err)
+	}
+
+	long := make([]asrel.ASN, 0, 2*(cleanPathQuadraticMax+8))
+	for i := 0; i < cleanPathQuadraticMax+8; i++ {
+		long = append(long, asrel.ASN(100+i), asrel.ASN(100+i)) // every hop prepended
+	}
+	if err := d.AddPath(long, netip.Prefix{}, nil, 0, false); err != nil {
+		t.Fatalf("long prepended path rejected: %v", err)
+	}
+	looped := append(append([]asrel.ASN(nil), long...), 100)
+	if err := d.AddPath(looped, netip.Prefix{}, nil, 0, false); err == nil {
+		t.Error("loop in a long path accepted")
+	}
+
+	if sets, loops := d.Dropped(); sets != 0 || loops != 3 {
+		t.Errorf("drops = %d sets, %d loops; want 0, 3 (two loops and the empty path)", sets, loops)
+	}
+	if d.NumUniquePaths() != 3 || d.NumObservations() != 6 {
+		t.Errorf("unique = %d, observations = %d; want 3, 6", d.NumUniquePaths(), d.NumObservations())
+	}
+	var got []asrel.ASN
+	for _, p := range d.Paths() {
+		if len(p.Path) > cleanPathQuadraticMax {
+			got = p.Path
+		}
+	}
+	if len(got) != cleanPathQuadraticMax+8 || got[0] != 100 || got[len(got)-1] != asrel.ASN(100+cleanPathQuadraticMax+7) {
+		t.Errorf("long path stored as %v", got)
+	}
+}
+
+// TestAdmitTallies pins the admission step AddMRT and live ingest
+// share: every route is one observation; an AS_SET or an empty path
+// is a set drop, a loop a loop drop; an admitted route activates its
+// path on first sight only.
+func TestAdmitTallies(t *testing.T) {
+	d := New(asrel.IPv4)
+	pfx := netip.MustParsePrefix("10.1.0.0/16")
+	admit := func(path bgp.ASPath) (bool, bool) {
+		attrs := bgp.Attrs{ASPath: path}
+		_, activated, ok := d.Admit(&attrs, pfx)
+		return activated, ok
+	}
+	set := bgp.ASPath{
+		{Type: bgp.SegSequence, ASNs: []asrel.ASN{1, 2}},
+		{Type: bgp.SegSet, ASNs: []asrel.ASN{3, 4}},
+	}
+	for _, c := range []struct {
+		name          string
+		path          bgp.ASPath
+		activated, ok bool
+	}{
+		{"AS_SET", set, false, false},
+		{"empty", nil, false, false},
+		{"empty segment", bgp.ASPath{{Type: bgp.SegSequence}}, false, false},
+		{"loop", bgp.Sequence(1, 2, 1), false, false},
+		{"first sight", bgp.Sequence(1, 2, 3), true, true},
+		{"again", bgp.Sequence(1, 2, 2, 3), false, true},
+	} {
+		if activated, ok := admit(c.path); activated != c.activated || ok != c.ok {
+			t.Errorf("%s: activated %v ok %v, want %v %v", c.name, activated, ok, c.activated, c.ok)
+		}
+	}
+	if sets, loops := d.Dropped(); sets != 3 || loops != 1 {
+		t.Errorf("drops = %d sets, %d loops; want 3, 1", sets, loops)
+	}
+	if d.NumObservations() != 6 || d.NumUniquePaths() != 1 || d.ActiveRefs() != 2 {
+		t.Errorf("observations %d, unique %d, refs %d; want 6, 1, 2", d.NumObservations(), d.NumUniquePaths(), d.ActiveRefs())
 	}
 }
 
@@ -335,6 +410,12 @@ func TestMergeMatchesSequential(t *testing.T) {
 	s2, l2 := merged.Dropped()
 	if s1 != s2 || l1 != l2 {
 		t.Errorf("drop tallies = (%d,%d) sequential, (%d,%d) merged", s1, l1, s2, l2)
+	}
+	if seq.ActiveRefs() != merged.ActiveRefs() {
+		t.Errorf("active references = %d sequential, %d merged", seq.ActiveRefs(), merged.ActiveRefs())
+	}
+	if seq.NumUniquePaths() != merged.NumUniquePaths() {
+		t.Errorf("unique paths = %d sequential, %d merged", seq.NumUniquePaths(), merged.NumUniquePaths())
 	}
 }
 

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -11,7 +10,7 @@ import (
 	"hybridrel/internal/bgp"
 )
 
-// liveRoute is one announcement a test feeds a live dataset.
+// liveRoute is one announcement a test retains in a dataset.
 type liveRoute struct {
 	path   []asrel.ASN
 	prefix netip.Prefix
@@ -43,21 +42,30 @@ func livePool() []liveRoute {
 	return out
 }
 
-// liveModel replays a live dataset's history into a batch one: every
-// Retain of a path that is active now, in order. Obs and prefixes of a
-// live record accumulate over its whole history, so this is the batch
-// dataset of the active routes the live Paths must reproduce.
+// liveModel replays a dataset's history of retains and releases into
+// a batch dataset built fresh: every route retained so far whose path
+// is active now, in order. Obs and prefixes of a record accumulate
+// over its whole history, so this is the batch dataset of the active
+// routes Paths must reproduce. The model tells paths apart by
+// replaying each route into a dataset of its own, keys, whose record
+// index names the cleaned path.
 type liveModel struct {
 	log  []liveRoute
-	refs map[string]int
+	keys *Dataset
+	refs map[int32]int
 }
 
-func pathKey(p []asrel.ASN) string {
-	c, err := CleanPath(p)
+func newLiveModel() *liveModel {
+	return &liveModel{keys: New(asrel.IPv4), refs: make(map[int32]int)}
+}
+
+func (m *liveModel) key(t *testing.T, r liveRoute) int32 {
+	t.Helper()
+	idx, _, err := m.keys.Retain(r.path, netip.Prefix{}, nil, 0, false)
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	return fmt.Sprint(c)
+	return idx
 }
 
 func (m *liveModel) retain(t *testing.T, d *Dataset, r liveRoute) int32 {
@@ -67,20 +75,21 @@ func (m *liveModel) retain(t *testing.T, d *Dataset, r liveRoute) int32 {
 		t.Fatal(err)
 	}
 	m.log = append(m.log, r)
-	m.refs[pathKey(r.path)]++
+	m.refs[m.key(t, r)]++
 	return idx
 }
 
-func (m *liveModel) release(d *Dataset, idx int32, r liveRoute) {
+func (m *liveModel) release(t *testing.T, d *Dataset, idx int32, r liveRoute) {
+	t.Helper()
 	d.Release(idx)
-	m.refs[pathKey(r.path)]--
+	m.refs[m.key(t, r)]--
 }
 
 func (m *liveModel) batch(t *testing.T) []*PathObs {
 	t.Helper()
 	b := New(asrel.IPv4)
 	for _, r := range m.log {
-		if m.refs[pathKey(r.path)] == 0 {
+		if m.refs[m.key(t, r)] == 0 {
 			continue
 		}
 		if err := b.AddPath(r.path, r.prefix, r.comms, r.locPrf, true); err != nil {
@@ -107,14 +116,14 @@ func checkLivePaths(t *testing.T, step int, d *Dataset, m *liveModel) {
 }
 
 // TestLivePathsMatchBatch interleaves Retain, Release and Paths on a
-// live dataset and checks every Paths against a batch dataset built
+// dataset and checks every Paths against a batch dataset built
 // from the active routes: same order, same attributes, withdrawn
 // records absent and revived ones back.
 func TestLivePathsMatchBatch(t *testing.T) {
 	pool := livePool()
 	rng := rand.New(rand.NewSource(5))
-	d := NewLive(asrel.IPv4)
-	m := &liveModel{refs: make(map[string]int)}
+	d := New(asrel.IPv4)
+	m := newLiveModel()
 	type held struct {
 		idx int32
 		r   liveRoute
@@ -124,7 +133,7 @@ func TestLivePathsMatchBatch(t *testing.T) {
 		switch {
 		case len(rib) > 0 && rng.Intn(5) < 2:
 			k := rng.Intn(len(rib))
-			m.release(d, rib[k].idx, rib[k].r)
+			m.release(t, d, rib[k].idx, rib[k].r)
 			rib = append(rib[:k], rib[k+1:]...)
 		default:
 			r := pool[rng.Intn(len(pool))]
@@ -142,7 +151,7 @@ func TestLivePathsMatchBatch(t *testing.T) {
 
 	// Withdraw everything: Paths empties; revive one record: it is back.
 	for _, h := range rib {
-		m.release(d, h.idx, h.r)
+		m.release(t, d, h.idx, h.r)
 	}
 	checkLivePaths(t, -2, d, m)
 	if n := len(d.Paths()); n != 0 {
@@ -158,8 +167,8 @@ func TestLivePathsMatchBatch(t *testing.T) {
 // their cached view.
 func TestLivePathsReflectRetainAfterCall(t *testing.T) {
 	pool := livePool()
-	d := NewLive(asrel.IPv4)
-	m := &liveModel{refs: make(map[string]int)}
+	d := New(asrel.IPv4)
+	m := newLiveModel()
 	m.retain(t, d, pool[0])
 	m.retain(t, d, pool[1])
 	first := d.Paths()

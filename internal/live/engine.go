@@ -117,6 +117,14 @@ func (e *planeEngine) deactivate(p *dataset.PathObs) {
 	}
 }
 
+// release drops one route's reference on record idx, retracting the
+// path's evidence when it was the last.
+func (e *planeEngine) release(idx int32) {
+	if e.d.Release(idx) {
+		e.deactivate(e.d.RecObs(idx))
+	}
+}
+
 // dirty returns the resolve workload estimate: links with changed
 // community votes plus vantages needing a LocPrf recomputation.
 func (e *planeEngine) dirty() int { return len(e.dirtyComm) + len(e.dirtyVant) }

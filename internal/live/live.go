@@ -1,19 +1,20 @@
 // Package live is the streaming counterpart of the batch pipeline: a
 // long-running ingester that consumes BGP UPDATE messages (RIS-Live
-// style), maintains a mutable live dataset per plane on top of the
-// interned arena's refcounting delta layer, re-infers relationships
-// incrementally from a dirty-set tracker, and on a cadence captures a
-// snapshot and hot-swaps it into the serving layer with zero dropped
-// reads.
+// style), maintains one dataset per plane — the same dataset.Dataset
+// batch ingest builds, with the routes it withdraws released —
+// re-infers relationships incrementally from a dirty-set tracker, and
+// on a cadence captures a snapshot and hot-swaps it into the serving
+// layer with zero dropped reads.
 //
 // The subsystem's contract is equivalence: at any quiescent point, the
 // captured snapshot is byte-identical to what the batch pipeline would
 // produce from archives describing the same active routes. Everything
-// is built to make that hold by construction — the dataset's flat
-// index folds announcement and withdrawal deltas through the same
-// accumulator arithmetic batch ingestion uses, and both inference
-// methods aggregate per-path/per-vantage emissions that are shared
-// code with their batch implementations.
+// is built to make that hold by construction — every announced route
+// passes the dataset's admission step (dataset.Admit), the very code
+// batch ingest runs on each RIB entry; the flat link index folds
+// announcement and withdrawal deltas through the same accumulator
+// arithmetic; and both inference methods aggregate per-path/per-vantage
+// emissions that are shared code with their batch implementations.
 package live
 
 import (
@@ -69,7 +70,7 @@ func (c Config) threshold() float64 {
 	return c.DirtyThreshold
 }
 
-// Applier owns the live datasets and the per-plane incremental
+// Applier owns the per-plane datasets and incremental
 // engines, and applies parsed updates to them. It is single-writer:
 // one goroutine applies events and captures snapshots; concurrent
 // readers belong on the serving side of the snapshot swap.
@@ -81,10 +82,9 @@ type Applier struct {
 	e4  *planeEngine
 	e6  *planeEngine
 
-	rib  map[ribKey]int32
-	opt  bgp.Options
-	upd  bgp.Update
-	flat []asrel.ASN // flattened AS-path scratch
+	rib map[ribKey]int32
+	opt bgp.Options
+	upd bgp.Update
 
 	applied     int
 	withdrawals int
@@ -100,8 +100,8 @@ type ribKey struct {
 
 // NewApplier returns an empty live table pair.
 func NewApplier(cfg Config) *Applier {
-	d4 := dataset.NewLive(asrel.IPv4)
-	d6 := dataset.NewLive(asrel.IPv6)
+	d4 := dataset.New(asrel.IPv4)
+	d6 := dataset.New(asrel.IPv6)
 	return &Applier{
 		D4: d4, D6: d6, Dict: cfg.Dict,
 		cfg:     cfg,
@@ -115,7 +115,8 @@ func NewApplier(cfg Config) *Applier {
 
 // Apply parses and applies one UPDATE message. Parse errors are
 // returned (the stream is unframed garbage past them); per-route
-// drops (AS path loops) are tallied in the datasets like batch ingest.
+// drops (AS_SETs, empty paths, loops) are tallied in the datasets by
+// the admission step batch ingest shares.
 func (ap *Applier) Apply(ev Event) error {
 	if err := bgp.ParseUpdate(ev.Data, ap.opt, &ap.upd); err != nil {
 		return fmt.Errorf("live: vantage %s: %w", ev.Vantage, err)
@@ -124,62 +125,55 @@ func (ap *Applier) Apply(ev Event) error {
 	ap.applied++
 
 	for _, pfx := range u.Withdrawn {
-		ap.withdraw(ap.D4, ap.e4, ev.Vantage, pfx)
+		ap.withdraw(ap.e4, ev.Vantage, pfx)
 	}
 	if mp := u.Attrs.MPUnreach; mp != nil && mp.AFI == bgp.AFIIPv6 && mp.SAFI == bgp.SAFIUnicast {
 		for _, pfx := range mp.Withdrawn {
-			ap.withdraw(ap.D6, ap.e6, ev.Vantage, pfx)
+			ap.withdraw(ap.e6, ev.Vantage, pfx)
 		}
 	}
 
 	if len(u.NLRI) > 0 {
-		ap.announce(ap.D4, ap.e4, ev.Vantage, u.NLRI, u)
+		ap.announce(ap.e4, ev.Vantage, u.NLRI, u)
 	}
 	if mp := u.Attrs.MPReach; mp != nil && mp.AFI == bgp.AFIIPv6 && mp.SAFI == bgp.SAFIUnicast && len(mp.NLRI) > 0 {
-		ap.announce(ap.D6, ap.e6, ev.Vantage, mp.NLRI, u)
+		ap.announce(ap.e6, ev.Vantage, mp.NLRI, u)
 	}
 	ap.noteApply()
 	return nil
 }
 
-func (ap *Applier) announce(d *dataset.Dataset, e *planeEngine, vantage asrel.ASN, prefixes []netip.Prefix, u *bgp.Update) {
-	path := u.Attrs.EffectivePath()
-	if path.HasSet() {
-		return // AS_SET paths are dropped, as in batch ingest
-	}
-	ap.flat = path.AppendFlatten(ap.flat[:0])
-	flat := ap.flat
-	if len(flat) == 0 {
-		return
-	}
+// announce admits the update's route for each prefix. A
+// re-announcement is an implicit withdraw of the route it replaces:
+// admit-then-release keeps an unchanged path active across the
+// replacement, so no spurious deltas are emitted — and the release must
+// happen even when the path is unchanged, or each identical
+// re-announcement leaks a reference and a later withdraw can never
+// deactivate the route. A replacement the admission step rejects
+// (AS_SET, empty path, loop) still withdraws the old route, leaving
+// the RIB what a batch dump holding only the replacement would give.
+func (ap *Applier) announce(e *planeEngine, vantage asrel.ASN, prefixes []netip.Prefix, u *bgp.Update) {
 	for _, pfx := range prefixes {
-		idx, activated, err := d.Retain(flat, pfx, u.Attrs.Communities, u.Attrs.LocalPref, u.Attrs.HasLocalPref)
-		if err != nil {
-			continue // loop path; tallied by the dataset
-		}
+		key := ribKey{vantage, pfx}
+		idx, activated, ok := e.d.Admit(&u.Attrs, pfx)
 		if activated {
-			e.activate(d.RecObs(idx))
+			e.activate(e.d.RecObs(idx))
 		}
-		if ap.metrics != nil {
+		if ok && ap.metrics != nil {
 			ap.metrics.Announced.Inc()
 		}
-		key := ribKey{vantage, pfx}
-		// Implicit withdraw: a re-announcement replaces the old route.
-		// Retain-then-Release keeps an unchanged path active across the
-		// replacement, so no spurious deltas are emitted — and the
-		// Release must happen even when old == idx, or each identical
-		// re-announcement leaks a refcount and a later withdraw can
-		// never deactivate the route.
-		if old, ok := ap.rib[key]; ok {
-			if d.Release(old) {
-				e.deactivate(d.RecObs(old))
-			}
+		if old, held := ap.rib[key]; held {
+			e.release(old)
 		}
-		ap.rib[key] = idx
+		if ok {
+			ap.rib[key] = idx
+		} else {
+			delete(ap.rib, key)
+		}
 	}
 }
 
-func (ap *Applier) withdraw(d *dataset.Dataset, e *planeEngine, vantage asrel.ASN, pfx netip.Prefix) {
+func (ap *Applier) withdraw(e *planeEngine, vantage asrel.ASN, pfx netip.Prefix) {
 	key := ribKey{vantage, pfx}
 	idx, ok := ap.rib[key]
 	if !ok {
@@ -190,9 +184,7 @@ func (ap *Applier) withdraw(d *dataset.Dataset, e *planeEngine, vantage asrel.AS
 	if ap.metrics != nil {
 		ap.metrics.Withdrawn.Inc()
 	}
-	if d.Release(idx) {
-		e.deactivate(d.RecObs(idx))
-	}
+	e.release(idx)
 }
 
 // Applied returns the number of UPDATEs applied and the number of

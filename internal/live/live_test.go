@@ -5,15 +5,20 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/netip"
 	"testing"
+	"time"
 
 	"hybridrel/internal/asrel"
+	"hybridrel/internal/bgp"
 	"hybridrel/internal/bgpsim"
 	"hybridrel/internal/collector"
 	"hybridrel/internal/community"
 	"hybridrel/internal/core"
+	"hybridrel/internal/dataset"
 	"hybridrel/internal/gen"
 	"hybridrel/internal/live"
+	"hybridrel/internal/mrt"
 	"hybridrel/internal/obs"
 	"hybridrel/internal/pipeline"
 	"hybridrel/internal/rpsl"
@@ -275,6 +280,86 @@ func TestIdenticalReannouncementRefcount(t *testing.T) {
 	}
 	if !bytes.Equal(snapBytes(t, flapped.Snapshot()), snapBytes(t, clean.Snapshot())) {
 		t.Error("withdrawn flapped routes still visible: flapped applier diverged from the never-flapped one")
+	}
+}
+
+// TestRejectedReplacementWithdraws re-announces a held route with a
+// path admission rejects — a loop, an AS_SET, an empty AS_PATH — and
+// requires the live table to end as a batch ingest of a RIB dump
+// holding only that replacement: the old route is gone from the RIB
+// and the dataset, and the replacement is tallied as the same drop.
+// The live applier also counted the original announcement, so its
+// observation count must exceed the batch's by exactly that one.
+func TestRejectedReplacementWithdraws(t *testing.T) {
+	const vantage = 100
+	pfx := netip.MustParsePrefix("10.1.0.0/16")
+	route := func(path bgp.ASPath) bgp.Attrs {
+		return bgp.Attrs{
+			HasOrigin: true, Origin: bgp.OriginIGP,
+			ASPath:  path,
+			NextHop: netip.MustParseAddr("192.0.2.1"),
+		}
+	}
+	update := func(path bgp.ASPath) live.Event {
+		t.Helper()
+		u := bgp.Update{Attrs: route(path), NLRI: []netip.Prefix{pfx}}
+		b, err := u.Marshal(bgp.Options{ASN4: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return live.Event{Vantage: vantage, Data: b}
+	}
+	for _, c := range []struct {
+		name string
+		path bgp.ASPath
+	}{
+		{"loop", bgp.Sequence(100, 200, 100, 300)},
+		{"AS_SET", bgp.ASPath{
+			{Type: bgp.SegSequence, ASNs: []asrel.ASN{100, 200}},
+			{Type: bgp.SegSet, ASNs: []asrel.ASN{300, 400}},
+		}},
+		{"empty", bgp.ASPath{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ap := live.NewApplier(live.Config{Dict: community.NewDictionary()})
+			for _, ev := range []live.Event{update(bgp.Sequence(100, 200, 300)), update(c.path)} {
+				if err := ap.Apply(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var dump bytes.Buffer
+			w := mrt.NewWriter(&dump)
+			ts := time.Date(2010, 8, 1, 0, 0, 0, 0, time.UTC)
+			peer := mrt.Peer{BGPID: netip.MustParseAddr("192.0.2.1"), Addr: netip.MustParseAddr("192.0.2.1"), ASN: vantage}
+			if err := w.WritePeerIndexTable(ts, &mrt.PeerIndexTable{CollectorID: mrt.CollectorAddr(1), ViewName: "t", Peers: []mrt.Peer{peer}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteRIB(ts, &mrt.RIB{Prefix: pfx, Entries: []mrt.RIBEntry{{OriginatedAt: ts, Attrs: route(c.path)}}}); err != nil {
+				t.Fatal(err)
+			}
+			batch := dataset.New(asrel.IPv4)
+			if err := batch.AddMRT(&dump); err != nil {
+				t.Fatal(err)
+			}
+
+			d := ap.D4
+			if ap.RIBSize() != batch.ActiveRefs() || d.ActiveRefs() != batch.ActiveRefs() {
+				t.Errorf("RIB holds %d routes (%d references), batch retains %d", ap.RIBSize(), d.ActiveRefs(), batch.ActiveRefs())
+			}
+			if d.NumUniquePaths() != batch.NumUniquePaths() || d.NumLinks() != batch.NumLinks() {
+				t.Errorf("live keeps %d paths and %d links, batch %d and %d",
+					d.NumUniquePaths(), d.NumLinks(), batch.NumUniquePaths(), batch.NumLinks())
+			}
+			if got, want := d.NumObservations(), batch.NumObservations()+1; got != want {
+				t.Errorf("live observations = %d, want %d (the original announcement and the replacement)", got, want)
+			}
+			ls, ll := d.Dropped()
+			bs, bl := batch.Dropped()
+			if ls != bs || ll != bl || bs+bl != 1 {
+				t.Errorf("live drops = (%d sets, %d loops), batch (%d, %d); want equal, one drop", ls, ll, bs, bl)
+			}
+		})
 	}
 }
 

@@ -223,3 +223,112 @@ func TestMmapHotSwapUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedMappedSnapshotInstalls installs one mapped snapshot twice
+// in one server and once more in a second, then serves requests,
+// history reads and reloads on both under -race. References are
+// counted on the snapshot, not per install, so no retirement unmaps
+// pages another install still serves — a premature munmap kills the
+// process with a fault rather than failing an assertion — and once
+// every install has retired and rolled off its ring, the mapping is
+// gone.
+func TestSharedMappedSnapshotInstalls(t *testing.T) {
+	_, snap, _ := fixtures(t)
+	dir := t.TempDir()
+	shared, other := filepath.Join(dir, "shared.snap"), filepath.Join(dir, "other.snap")
+	for _, p := range []string{shared, other} {
+		if err := snapshot.WriteFileV2(p, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := snapshot.Map(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := func(context.Context) (*snapshot.Snapshot, error) { return snapshot.Map(other) }
+	a := New(m, WithSource(src), WithHistory(2))
+	a.Load(m)
+	b := New(m, WithSource(src), WithHistory(2))
+
+	h := snap.Hybrids[0].Key
+	urls := []string{
+		fmt.Sprintf("/v1/as/%d", uint32(h.Lo)),
+		fmt.Sprintf("/v1/rel?a=%d&b=%d", uint32(h.Lo), uint32(h.Hi)),
+		"/v1/stats",
+	}
+	for _, srv := range []*Server{a, b} {
+		for _, u := range urls {
+			if code := get(t, srv, "GET", u, nil); code != 200 {
+				t.Fatalf("GET %s on a double-installed snapshot -> %d", u, code)
+			}
+		}
+	}
+
+	// ?at= an hour ahead reads the newest ring entry and must answer;
+	// ?at= a server's first install reads m until it rolls off the
+	// ring (410).
+	at := func(t time.Time) string { return "at=" + url.QueryEscape(t.UTC().Format(time.RFC3339Nano)) }
+	future := at(time.Now().Add(time.Hour))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan string, 4)
+	for r, srv := range []*Server{a, b, a, b} {
+		first := at(srv.history[0].loadedAt)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				u := urls[(i+r)%len(urls)]
+				sep := "?"
+				if strings.Contains(u, "?") {
+					sep = "&"
+				}
+				code, ok := get(t, srv, "GET", u, nil), true
+				switch {
+				case u == "/v1/stats":
+				case i%3 == 1:
+					code = get(t, srv, "GET", u+sep+future, nil)
+				case i%3 == 2:
+					code = get(t, srv, "GET", u+sep+first, nil)
+					ok = code == 410
+				}
+				if code != 200 && !ok {
+					errc <- fmt.Sprintf("GET %s (read %d) -> %d", u, i, code)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 6; i++ {
+		for _, srv := range []*Server{a, b} {
+			if err := srv.Reload(context.Background()); err != nil {
+				t.Errorf("reload %d: %v", i, err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	select {
+	case msg := <-errc:
+		t.Fatalf("shared mapped snapshot: %s", msg)
+	default:
+	}
+
+	if runtime.GOOS == "linux" {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(maps), shared); n != 0 {
+			t.Errorf("%d mappings of the shared snapshot remain after every install retired, want 0", n)
+		}
+		if strings.Count(string(maps), other) == 0 {
+			t.Error("no mapping of the reloaded snapshot is live; the servers are not serving from the map")
+		}
+	}
+}

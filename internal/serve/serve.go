@@ -13,10 +13,11 @@
 // lives behind an atomic.Pointer, so queries are lock-free and a hot
 // reload — POST /v1/reload or SIGHUP in cmd/hybridserve — swaps the
 // whole state in one atomic store: in-flight requests finish against
-// the snapshot they started with and zero requests are dropped. States
-// are reference-counted, so a retired mmap-backed snapshot
-// (snapshot.Map) is unmapped only after the last in-flight request and
-// history-ring slot releases it.
+// the snapshot they started with and zero requests are dropped.
+// Snapshots are reference-counted per artifact, so a retired
+// mmap-backed snapshot (snapshot.Map) is unmapped only after the last
+// installed state, in-flight request and history-ring slot — in any
+// server — releases it.
 //
 // Endpoints:
 //
@@ -275,8 +276,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Load atomically installs snap. A mapped v3 snapshot installs in
-// O(1); one without a stored index builds it first, outside the lock.
+// Load atomically installs snap and takes ownership of it: the server
+// closes it once no state serves it, so the caller need not. Installing
+// one snapshot more than once, or into several servers, is safe. A
+// mapped v3 snapshot installs in O(1); one without a stored index
+// builds it first, outside the lock.
 // In-flight requests keep reading the state they started with. Each
 // install also diffs the outgoing snapshot's relationship tables
 // against the incoming ones into the change journal (served on
@@ -305,7 +309,7 @@ func (s *Server) Load(snap *snapshot.Snapshot) {
 		// the Diff above, which still reads prev.snap. In-flight requests
 		// and ring slots hold their own references, so an mmap-backed
 		// snapshot unmaps only when the last of them lets go.
-		prev.release()
+		prev.retire()
 	}
 }
 
@@ -381,68 +385,69 @@ type state struct {
 	snap *snapshot.Snapshot
 	idx  *snapshot.Index
 
-	// refs counts the holders keeping this state alive: the installed
-	// atomic pointer, each history-ring slot, and each in-flight request
-	// that resolved it. When the count hits zero the snapshot is Closed
-	// — which unmaps it when it came from snapshot.Map — so a hot swap
-	// can retire an mmap-backed snapshot without ever unmapping pages a
-	// request is still reading. For heap-backed snapshots Close is a
-	// no-op and the whole scheme degenerates to plain GC.
-	refs atomic.Int64
+	// The installed atomic pointer, each history-ring slot and each
+	// in-flight request that resolved the state hold a reference on its
+	// snapshot, so a hot swap can retire an mmap-backed snapshot without
+	// ever unmapping pages a request is still reading. owner reports
+	// that the installed-pointer reference is the snapshot's creator
+	// reference, adopted at install and dropped with Close on
+	// retirement.
+	owner bool
 
 	stats      StatsResponse
 	loadedAt   time.Time
 	generation uint64
 }
 
+// newState takes the installed-pointer reference on snap, dropped by
+// retire when the next Load replaces the state.
 func newState(snap *snapshot.Snapshot) *state {
 	st := &state{
 		snap:     snap,
 		idx:      snap.Index(),
 		stats:    StatsOf(snap),
 		loadedAt: time.Now().UTC(),
+		owner:    snap.Adopt(),
 	}
-	st.refs.Store(1) // the installed-pointer reference, dropped by the next Load
+	if !st.owner {
+		st.ref()
+	}
 	return st
 }
 
-// retain takes a request reference if the state is still alive. It
-// fails (returns false) only when the count already hit zero — the
+// retire drops the installed-pointer reference.
+func (st *state) retire() {
+	if st.owner {
+		_ = st.snap.Close() // an unmap failure has no caller to report to
+	} else {
+		st.release()
+	}
+}
+
+// retain takes a request reference on the state's snapshot. It fails
+// (returns false) only when the snapshot was already released — the
 // state was retired between the caller's pointer load and this call —
 // in which case a newer state is already installed.
 //
 //hybridrel:hotpath
-func (st *state) retain() bool {
-	for {
-		r := st.refs.Load()
-		if r <= 0 {
-			return false
-		}
-		if st.refs.CompareAndSwap(r, r+1) {
-			return true
-		}
+func (st *state) retain() bool { return st.snap.Acquire() }
+
+// ref takes a reference where the caller already guarantees liveness:
+// it is installing the state, or holds histMu with the state still in
+// the ring (the ring's own reference keeps the snapshot alive until
+// eviction, which also runs under histMu).
+//
+//hybridrel:hotpath
+func (st *state) ref() {
+	if !st.retain() {
+		panic("serve: reference taken on a released snapshot")
 	}
 }
 
-// ref adds a reference unconditionally. Only valid while the caller
-// already guarantees liveness: it built the state, or holds histMu
-// with the state still in the ring (the ring's own reference keeps the
-// count positive until eviction, which also runs under histMu).
+// release drops one reference; the snapshot's last one unmaps it.
 //
 //hybridrel:hotpath
-func (st *state) ref() { st.refs.Add(1) }
-
-// release drops one reference; the final drop closes the snapshot.
-// The Close error is ignored: the last holder is whichever request or
-// eviction happens to finish last, and it has no caller to report a
-// munmap failure to.
-//
-//hybridrel:hotpath
-func (st *state) release() {
-	if st.refs.Add(-1) == 0 {
-		_ = st.snap.Close()
-	}
-}
+func (st *state) release() { st.snap.Release() }
 
 // acquireState resolves the installed state and takes a reference, so
 // a concurrent hot swap can never unmap the snapshot while the caller

@@ -23,11 +23,14 @@ import (
 // Use Open when the artifact crosses a trust boundary; Map is for
 // serving artifacts the pipeline itself wrote.
 //
-// The caller owns the mapping and must Close the snapshot when done;
-// internal/serve refcounts in-flight requests so a hot reload never
-// unmaps a snapshot a handler still reads. Version-1 files cannot be
-// mapped (varints have no fixed width); Map reports a distinguished
-// error directing the caller to Open or a fixed-width re-export.
+// The caller holds the creator's reference and must Close the
+// snapshot when done, or hand it to a server that takes ownership
+// (internal/serve's Load). The file stays mapped until the last
+// reference (Acquire/Release) is dropped, so a hot reload never unmaps
+// a snapshot a handler or another install still reads. Version-1
+// files cannot be mapped (varints have no fixed width); Map reports a
+// distinguished error directing the caller to Open or a fixed-width
+// re-export.
 func Map(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {

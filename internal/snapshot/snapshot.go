@@ -56,6 +56,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync/atomic"
 
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/core"
@@ -111,8 +112,14 @@ type Snapshot struct {
 
 	// closer releases whatever backs the snapshot's slices — the file
 	// mapping for a snapshot produced by Map, nothing for heap-decoded
-	// snapshots. Managed through Close/AttachCloser.
+	// snapshots. It runs when the last reference is dropped.
 	closer func() error
+	// refs is the number of references held, less one: the zero value
+	// is the creator's reference alone, and -1 means none is left.
+	refs atomic.Int64
+	// closed records that Close dropped the creator's reference;
+	// adopted, that an owner took it over (Adopt).
+	closed, adopted atomic.Bool
 	// raw is the file image a snapshot produced by Map serves from,
 	// kept for Verify; nil for heap snapshots.
 	raw []byte
@@ -121,19 +128,59 @@ type Snapshot struct {
 	index indexState
 }
 
-// Close releases the resources backing the snapshot: for a snapshot
-// produced by Map that unmaps the file, after which the tables, link
-// sections, and hybrid list must not be touched. For heap-decoded
-// snapshots Close is a no-op. Close is idempotent but not safe for
-// concurrent callers; the serving layer guarantees a single closer via
-// refcounting.
+// Close drops the creator's reference, at most once however often it
+// is called. Whoever made the snapshot (Capture, Read, Open, Map) holds
+// that reference; Acquire adds more and Release drops them. When the
+// last one goes, whatever backs the snapshot is released: for a
+// snapshot produced by Map the file is unmapped, after which the
+// tables, link sections and hybrid list must not be touched. Close
+// returns the unmap error when it dropped the last reference. A
+// snapshot with nothing to release (a heap snapshot) stays usable and
+// acquirable whatever its count.
 func (s *Snapshot) Close() error {
-	if s.closer == nil {
+	if s.closed.Swap(true) {
 		return nil
 	}
-	fn := s.closer
-	s.closer, s.raw = nil, nil
-	return fn()
+	return s.drop()
+}
+
+// Adopt hands the creator's reference to the caller, which drops it
+// later with Close. It reports false when an earlier caller already
+// adopted it; such a caller must Acquire a reference of its own. This
+// is how a server takes ownership of what it installs: the creator may
+// hand a snapshot over and forget it, or install one snapshot twice.
+func (s *Snapshot) Adopt() bool { return s.adopted.CompareAndSwap(false, true) }
+
+// Acquire takes a reference, reporting false when the snapshot's
+// backing was already released; a snapshot with nothing to release
+// always succeeds.
+//
+//hybridrel:hotpath
+func (s *Snapshot) Acquire() bool {
+	for {
+		r := s.refs.Load()
+		if r < 0 && s.closer != nil {
+			return false
+		}
+		if s.refs.CompareAndSwap(r, r+1) {
+			return true
+		}
+	}
+}
+
+// Release drops a reference taken by Acquire. The error of a release
+// the last drop triggers is discarded: the last holder is whichever
+// reader finishes last, with no caller to report it to.
+//
+//hybridrel:hotpath
+func (s *Snapshot) Release() { _ = s.drop() }
+
+// drop drops one reference and, when it was the last, runs the closer.
+func (s *Snapshot) drop() error {
+	if s.refs.Add(-1) != -1 || s.closer == nil {
+		return nil
+	}
+	return s.closer()
 }
 
 // Verify runs the strict reader's checks over the file image a
@@ -143,7 +190,7 @@ func (s *Snapshot) Close() error {
 // the section and byte offset. It costs a full decode, O(file size),
 // which is why Map does not do it. A snapshot not served from a file
 // image (Capture, Read, Open) has none to check, and Verify returns
-// nil. Verify must not race or follow Close.
+// nil. The caller must hold a reference while Verify runs.
 func (s *Snapshot) Verify() error {
 	if s.raw == nil {
 		return nil
@@ -152,9 +199,10 @@ func (s *Snapshot) Verify() error {
 	return err
 }
 
-// AttachCloser registers fn to be invoked by Close, replacing any
-// previous closer. Map uses it to hook munmap; tests use it to observe
-// exactly when the serving layer releases a retired snapshot.
+// AttachCloser registers fn to run when the last reference is dropped,
+// replacing any previous closer. Call it before the snapshot is shared.
+// Map uses it to hook munmap; tests use it to observe exactly when the
+// serving layer releases a retired snapshot.
 func AttachCloser(s *Snapshot, fn func() error) { s.closer = fn }
 
 // Capture extracts a snapshot from an analysis, forcing every memoized

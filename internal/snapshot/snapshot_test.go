@@ -361,3 +361,45 @@ func benchmarkDecode(b *testing.B, path string) {
 		}
 	}
 }
+
+// TestSnapshotReferences pins the artifact's reference count: Close
+// drops the creator's reference once however often it is called, an
+// acquired reference defers the release of the backing, Adopt hands
+// the creator's reference over once, and a released backing can never
+// be acquired again. A snapshot with nothing to release stays
+// acquirable.
+func TestSnapshotReferences(t *testing.T) {
+	var closes int
+	s := &Snapshot{}
+	AttachCloser(s, func() error { closes++; return nil })
+	if !s.Adopt() || s.Adopt() {
+		t.Fatal("Adopt must hand the creator's reference over exactly once")
+	}
+	if !s.Acquire() {
+		t.Fatal("Acquire failed on a live snapshot")
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if closes != 0 {
+		t.Fatalf("backing released %d times while a reference is held", closes)
+	}
+	s.Release()
+	if closes != 1 {
+		t.Fatalf("backing released %d times after the last reference, want 1", closes)
+	}
+	if s.Acquire() {
+		t.Fatal("Acquire succeeded on a released snapshot")
+	}
+
+	heap := &Snapshot{}
+	if err := heap.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !heap.Acquire() {
+		t.Fatal("a snapshot with nothing to release must stay acquirable")
+	}
+	heap.Release()
+}
