@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -435,14 +434,29 @@ func BenchmarkMRTVisit(b *testing.B) {
 	}
 }
 
-// dedupWorkload reconstructs an observation stream from a plane's
-// unique paths: each replayed as many times as it was observed — the
-// duplicate-heavy mix the ingest dedup sees.
-func dedupWorkload(paths []*dataset.PathObs) [][]asrel.ASN {
+// dedupWorkload is the observation stream the ingest dedup sees: every
+// IPv6 RIB entry's flattened AS path across the world's IPv6 archives,
+// in archive order — the real mix, repeated wherever two prefixes or
+// two collectors share a path. Entries holding an AS_SET, which
+// admission drops before dedup, are left out.
+func dedupWorkload(b *testing.B, w *World) [][]asrel.ASN {
+	b.Helper()
 	var out [][]asrel.ASN
-	for _, p := range paths {
-		for i := 0; i < p.Obs; i++ {
-			out = append(out, p.Path)
+	for _, archive := range w.Archives6 {
+		err := mrt.NewReader(bytes.NewReader(archive)).Visit(func(rec *mrt.Record) error {
+			rib, ok := rec.Message.(*mrt.RIB)
+			if !ok || !rib.Prefix.Addr().Is6() {
+				return nil
+			}
+			for i := range rib.Entries {
+				if path := rib.Entries[i].Attrs.EffectivePath(); !path.HasSet() {
+					out = append(out, path.AppendFlatten(nil))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 	return out
@@ -451,14 +465,14 @@ func dedupWorkload(paths []*dataset.PathObs) [][]asrel.ASN {
 // BenchmarkDedupInterned measures the interned arena-hash path dedup
 // the dataset runs on.
 func BenchmarkDedupInterned(b *testing.B) {
-	_, a := benchSetup(b)
-	obs := dedupWorkload(a.D6.Paths())
+	w, _ := benchSetup(b)
+	obs := dedupWorkload(b, w)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := dataset.New(asrel.IPv6)
 		for _, raw := range obs {
-			if err := d.AddPath(raw, netip.Prefix{}, nil, 0, false); err != nil {
+			if err := d.AddPath(raw, nil, 0, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -535,7 +549,7 @@ func BenchmarkValleyCheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		for _, p := range paths {
+		for p := range paths {
 			if valley.Check(p.Path, a.Rel6) == valley.KindValley {
 				n++
 			}

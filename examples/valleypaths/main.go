@@ -34,13 +34,18 @@ func main() {
 		st.Necessary, 100*st.NecessaryShare())
 
 	// Show a few concrete valley paths with their classification,
-	// using the internal analysis pieces directly.
+	// using the internal analysis pieces directly. Classify returns the
+	// kinds in walk order, so the second walk pairs them up by
+	// position; a walk's path is only valid until its next step, and
+	// this one prints each path before moving on.
 	d6 := analysis.D6
 	kinds, _ := valley.Classify(d6.Paths(), analysis.Rel6)
 	fmt.Println("\nexample valley paths (relationships along the route):")
-	shown := 0
-	for i, p := range d6.Paths() {
-		if kinds[i] != valley.KindValley || shown == 4 {
+	shown, i := 0, 0
+	for p := range d6.Paths() {
+		k := kinds[i]
+		i++
+		if k != valley.KindValley || shown == 4 {
 			continue
 		}
 		shown++

@@ -105,7 +105,7 @@ func TestEndToEndDumpAndIngest(t *testing.T) {
 		}
 	}
 	// LocPrf feeds appear only on designated vantages.
-	for _, p := range d6.Paths() {
+	for p := range d6.Paths() {
 		if p.HasLocPrf && !in.VantageLocPrf[p.Vantage] {
 			t.Fatalf("LocPrf from non-iBGP vantage %s", p.Vantage)
 		}

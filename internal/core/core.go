@@ -348,7 +348,7 @@ func (a *Analysis) HybridVisibility() Visibility {
 			MeanHybridEndpointDegree: stats.MeanInt(hybDegrees),
 			MeanDualEndpointDegree:   stats.MeanInt(dualDegrees),
 		}
-		for _, p := range a.D6.Paths() {
+		for p := range a.D6.Paths() {
 			v.Paths++
 			for i := 0; i+1 < len(p.Path); i++ {
 				if hybrids[asrel.Key(p.Path[i], p.Path[i+1])] {

@@ -20,6 +20,13 @@
 // (the flat link index, Paths, Vantages, the counts) reflects the
 // active records only.
 //
+// A record holds what inference reads of a path and nothing else: the
+// vantage-first cleaned AS sequence, the community set and LOCAL_PREF
+// of its first observation, and the reference count. Inference sees a
+// record through a cursor: Record fills a caller-owned PathObs in
+// place, and a Paths walk reuses one PathObs for every record it
+// yields, so no walk builds a per-record heap object.
+//
 // Record indexes are the handles Retain returns and Release takes.
 // Freeze and Merge renumber records into canonical path order, so a
 // caller holding handles must never call them; the live applier never
@@ -39,8 +46,8 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"iter"
 	"math/bits"
-	"net/netip"
 	"slices"
 	"sort"
 	"sync"
@@ -52,22 +59,19 @@ import (
 	"hybridrel/internal/topology"
 )
 
-// PathObs is one deduplicated AS-path observation with the attributes
-// relevant to relationship inference.
+// PathObs is one deduplicated AS path with the attributes relationship
+// inference reads. The dataset fills one in place (Record, Paths); a
+// filled PathObs aliases the dataset's community arena.
 type PathObs struct {
 	// Vantage is the collector peer (the first AS of Path).
 	Vantage asrel.ASN
 	// Path runs vantage → origin, cleaned of prepending.
 	Path []asrel.ASN
-	// Prefixes lists the distinct prefixes observed with this path.
-	Prefixes []netip.Prefix
 	// Communities is the community set of the route.
 	Communities []bgp.Community
 	// LocPrf is the vantage's LOCAL_PREF when the feed provides it.
 	LocPrf    uint32
 	HasLocPrf bool
-	// Obs counts raw observations merged into this unique path.
-	Obs int
 }
 
 // Origin returns the last AS of the path. The second return is false
@@ -82,44 +86,12 @@ func (p *PathObs) Origin() (asrel.ASN, bool) {
 	return p.Path[len(p.Path)-1], true
 }
 
-// packedPrefix is a netip.Prefix flattened to plain bytes. Keeping the
-// inline prefix pointer-free keeps the whole record array invisible to
-// the garbage collector's scan phase — at ingest scale that is worth
-// the (two-instruction) unpack on materialization.
-type packedPrefix struct {
-	addr  [16]byte // As16 form
-	bits  uint8    // 0..128, so /128 must not pass through a signed byte
-	is4   bool
-	valid bool
-}
-
-func packPrefix(p netip.Prefix) packedPrefix {
-	return packedPrefix{
-		addr:  p.Addr().As16(),
-		bits:  uint8(p.Bits()),
-		is4:   p.Addr().Is4(),
-		valid: true,
-	}
-}
-
-func (p packedPrefix) unpack() netip.Prefix {
-	if p.is4 {
-		var a4 [4]byte
-		copy(a4[:], p.addr[12:])
-		return netip.PrefixFrom(netip.AddrFrom4(a4), int(p.bits))
-	}
-	return netip.PrefixFrom(netip.AddrFrom16(p.addr), int(p.bits))
-}
-
 // pathRec is the internal, arena-backed form of one unique path: its
 // interned AS sequence lives in the path arena at [off, end), its
-// community set in the community arena at [commOff, commEnd), its
-// first observed prefix packed inline (the overwhelmingly common shape
-// is one prefix per path), and any further prefixes in the dataset's
-// overflow table at moreIdx. hash caches the dedup hash so table
+// community set in the community arena at [commOff, commEnd), and its
+// first-seen LOCAL_PREF inline. hash caches the dedup hash so table
 // growth re-probes without recomputing it. refs counts the routes
-// currently retaining the path (zero once every one was released);
-// obs counts every route that ever retained it.
+// currently retaining the path (zero once every one was released).
 //
 // The record is deliberately pointer-free: the recs array is the
 // largest allocation ingestion grows, and keeping it out of the
@@ -130,54 +102,8 @@ type pathRec struct {
 	commOff, commEnd uint32
 	hash             uint32
 	refs             int32
-	obs              int32
 	locPrf           uint32
-	moreIdx          int32 // index into morePrefixes, -1 when none
-	prefix0          packedPrefix
 	hasLocPrf        bool
-}
-
-// hasPrefix reports whether the rec already carries p.
-func (d *Dataset) hasPrefix(r *pathRec, p packedPrefix) bool {
-	if r.prefix0 == p {
-		return true
-	}
-	if r.moreIdx >= 0 {
-		for _, q := range d.morePrefixes[r.moreIdx] {
-			if q == p {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// addPrefix appends a prefix the rec does not yet carry. Overflow
-// entries are append-only and keyed by a stable index, so records can
-// be reordered and copied freely without touching them.
-func (d *Dataset) addPrefix(r *pathRec, p packedPrefix) {
-	if !r.prefix0.valid {
-		r.prefix0 = p
-		return
-	}
-	if r.moreIdx < 0 {
-		r.moreIdx = int32(len(d.morePrefixes))
-		d.morePrefixes = append(d.morePrefixes, []packedPrefix{p})
-		return
-	}
-	d.morePrefixes[r.moreIdx] = append(d.morePrefixes[r.moreIdx], p)
-}
-
-// numPrefixes returns the rec's prefix count.
-func (d *Dataset) numPrefixes(r *pathRec) int {
-	if !r.prefix0.valid {
-		return 0
-	}
-	n := 1
-	if r.moreIdx >= 0 {
-		n += len(d.morePrefixes[r.moreIdx])
-	}
-	return n
 }
 
 // Dataset is the observed data of one address-family plane.
@@ -195,11 +121,10 @@ func (d *Dataset) numPrefixes(r *pathRec) int {
 type Dataset struct {
 	AF asrel.AF
 
-	in           *intern.Interner
-	arena        []uint32         // interned AS ids of every unique path, concatenated
-	commArena    []bgp.Community  // community sets of every unique path, concatenated
-	recs         []pathRec        // one record per unique path
-	morePrefixes [][]packedPrefix // overflow prefixes beyond each rec's first
+	in        *intern.Interner
+	arena     []uint32        // interned AS ids of every unique path, concatenated
+	commArena []bgp.Community // community sets of every unique path, concatenated
+	recs      []pathRec       // one record per unique path
 
 	// tab is the open-addressed dedup index: slot values are rec index
 	// plus one, zero meaning empty. nil after a Merge (merged datasets
@@ -217,7 +142,7 @@ type Dataset struct {
 
 	active int // records with refs > 0
 
-	// flatMu guards the lazily-built flat index and the Paths cache:
+	// flatMu guards the lazily-built flat index and the Paths order:
 	// derived-product accessors may race on the first query after
 	// ingest. Mutation concurrent with queries remains unsupported —
 	// which is why Retain itself takes no lock.
@@ -226,13 +151,10 @@ type Dataset struct {
 	neg    intern.CountsAccum // link releases not yet folded into flat
 	flat   *intern.Counts     // nil until the first freeze
 
-	// The Paths cache: the record indexes in canonical path order as of
-	// the last Paths call, extended by the records created since, and
-	// each record's materialized view, kept until Retain or Release
-	// changes the record. Freeze and Merge renumber records and drop
-	// both.
+	// order holds the record indexes in canonical path order as of the
+	// last Paths walk; the next walk extends it by the records created
+	// since. Freeze and Merge renumber records and drop it.
 	order []int32
-	views []*PathObs
 
 	// ingest tallies
 	observations int
@@ -253,17 +175,15 @@ func New(af asrel.AF) *Dataset {
 // map-free branch; real AS paths are far shorter.
 const cleanPathQuadraticMax = 32
 
-// cleanScr collapses prepending into the dataset's reusable scratch and
-// rejects loops, all without allocating in the steady state. The
-// returned slice is the scratch, valid until the next call. Note it
-// works on raw AS numbers: a duplicate observation — the overwhelming
-// steady-state case — never touches the interner.
+// cleanScr collapses prepending of a non-empty raw path into the
+// dataset's reusable scratch and rejects loops, all without allocating
+// in the steady state. The returned slice is the scratch, valid until
+// the next call. Note it works on raw AS numbers: a duplicate
+// observation — the overwhelming steady-state case — never touches the
+// interner.
 //
 //hybridrel:hotpath
 func (d *Dataset) cleanScr(raw []asrel.ASN) ([]asrel.ASN, error) {
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("dataset: empty AS path")
-	}
 	p := raw
 	for i := 1; i < len(raw); i++ {
 		if raw[i] == raw[i-1] {
@@ -391,8 +311,8 @@ func (d *Dataset) find(h uint32, p []asrel.ASN) int32 {
 // lookups, no locking.
 //
 //hybridrel:hotpath
-func (d *Dataset) AddPath(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Community, locPrf uint32, hasLocPrf bool) error {
-	_, _, err := d.Retain(raw, prefix, comms, locPrf, hasLocPrf)
+func (d *Dataset) AddPath(raw []asrel.ASN, comms []bgp.Community, locPrf uint32, hasLocPrf bool) error {
+	_, _, err := d.Retain(raw, comms, locPrf, hasLocPrf)
 	return err
 }
 
@@ -401,14 +321,19 @@ func (d *Dataset) AddPath(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Comm
 // record index — the handle a RIB keeps and later passes to Release —
 // and whether the path went from inactive to active (first sight, or
 // re-announcement after its last release), which is when its links
-// enter the link index. Repeated observations merge their prefixes and
-// keep the first-seen attributes: a vantage announces identical
-// attributes for one path, so a revived record's stored attributes are
-// still the right ones. A loop is tallied and rejected.
+// enter the link index. Repeated observations keep the first-seen
+// attributes: a vantage announces identical attributes for one path,
+// so a revived record's stored attributes are still the right ones. An
+// empty path is tallied as a set drop and a loop as a loop drop, and
+// both are rejected.
 //
 //hybridrel:hotpath
-func (d *Dataset) Retain(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Community, locPrf uint32, hasLocPrf bool) (idx int32, activated bool, err error) {
+func (d *Dataset) Retain(raw []asrel.ASN, comms []bgp.Community, locPrf uint32, hasLocPrf bool) (idx int32, activated bool, err error) {
 	d.observations++
+	if len(raw) == 0 {
+		d.droppedSets++
+		return -1, false, fmt.Errorf("dataset: empty AS path")
+	}
 	p, err := d.cleanScr(raw)
 	if err != nil {
 		d.droppedLoops++
@@ -424,15 +349,6 @@ func (d *Dataset) Retain(raw []asrel.ASN, prefix netip.Prefix, comms []bgp.Commu
 		}
 	}
 	rec.refs++
-	rec.obs++
-	if int(idx) < len(d.views) {
-		d.views[idx] = nil // Obs moves on every Retain; the view is stale
-	}
-	if prefix.IsValid() {
-		if packed := packPrefix(prefix); !d.hasPrefix(rec, packed) {
-			d.addPrefix(rec, packed)
-		}
-	}
 	return idx, activated, nil
 }
 
@@ -449,9 +365,6 @@ func (d *Dataset) Release(idx int32) (deactivated bool) {
 		return false
 	}
 	d.active--
-	if int(idx) < len(d.views) {
-		d.views[idx] = nil // invisible until revived, and revival re-Retains
-	}
 	seq := d.arena[r.off:r.end]
 	for i := 1; i < len(seq); i++ {
 		d.neg.Add(asrel.Key(d.in.ASN(seq[i-1]), d.in.ASN(seq[i])), 1)
@@ -471,11 +384,28 @@ func (d *Dataset) ActiveRefs() int {
 	return total
 }
 
-// RecObs materializes record idx as a PathObs, active or not — the
-// view an incremental inference engine mines when the record's
-// activation state flips.
-func (d *Dataset) RecObs(idx int32) *PathObs {
-	return d.materialize(idx)
+// Record fills p with record idx, active or not, and returns p — the
+// cursor an incremental inference engine reads a record through when
+// its activation state flips, and the one every Paths walk uses. The
+// AS path goes into p.Path's capacity, reused across calls;
+// Communities alias the dataset's community arena. Both stay valid
+// until the next Record into p.
+//
+//hybridrel:hotpath
+func (d *Dataset) Record(idx int32, p *PathObs) *PathObs {
+	r := &d.recs[idx]
+	seq, asns := d.arena[r.off:r.end], d.in.ASNs()
+	path := slices.Grow(p.Path[:0], len(seq))[:len(seq)]
+	for i, id := range seq {
+		path[i] = asns[id]
+	}
+	p.Vantage, p.Path = path[0], path
+	p.Communities = nil
+	if r.commEnd > r.commOff {
+		p.Communities = d.commArena[r.commOff:r.commEnd:r.commEnd]
+	}
+	p.LocPrf, p.HasLocPrf = r.locPrf, r.hasLocPrf
+	return p
 }
 
 // addRec dedups the cleaned path p, inserting an unreferenced record
@@ -503,7 +433,6 @@ func (d *Dataset) addRec(p []asrel.ASN, comms []bgp.Community, locPrf uint32, ha
 		commOff: commOff, commEnd: uint32(len(d.commArena)),
 		hash:   h,
 		locPrf: locPrf, hasLocPrf: hasLocPrf,
-		moreIdx: -1,
 	})
 	d.tabInsert(h, idx)
 	if d.sorted && idx > 0 && d.comparePathAt(idx, idx-1) < 0 {
@@ -514,22 +443,21 @@ func (d *Dataset) addRec(p []asrel.ASN, comms []bgp.Community, locPrf uint32, ha
 
 // Admit is the route-admission step batch and live ingest share. The
 // route's effective AS path (AS4_PATH merged in) is rejected when it
-// holds an AS_SET or flattens to nothing, then cleaned and retained
-// for prefix with the route's communities and LOCAL_PREF. Every call
-// is one observation, and a rejected route is tallied as a set or a
+// holds an AS_SET, otherwise flattened and retained with the route's
+// communities and LOCAL_PREF. Every call is one observation, and a
+// rejected route is tallied as a set drop (AS_SET or empty path) or a
 // loop drop; ok is false then. Otherwise idx and activated are
 // Retain's.
-func (d *Dataset) Admit(attrs *bgp.Attrs, prefix netip.Prefix) (idx int32, activated, ok bool) {
-	if path := attrs.EffectivePath(); !path.HasSet() {
-		d.flatScratch = path.AppendFlatten(d.flatScratch[:0])
-		if len(d.flatScratch) > 0 {
-			idx, activated, err := d.Retain(d.flatScratch, prefix, attrs.Communities, attrs.LocalPref, attrs.HasLocalPref)
-			return idx, activated, err == nil
-		}
+func (d *Dataset) Admit(attrs *bgp.Attrs) (idx int32, activated, ok bool) {
+	path := attrs.EffectivePath()
+	if path.HasSet() {
+		d.observations++
+		d.droppedSets++
+		return -1, false, false
 	}
-	d.observations++
-	d.droppedSets++
-	return -1, false, false
+	d.flatScratch = path.AppendFlatten(d.flatScratch[:0])
+	idx, activated, err := d.Retain(d.flatScratch, attrs.Communities, attrs.LocalPref, attrs.HasLocalPref)
+	return idx, activated, err == nil
 }
 
 // AddMRT ingests a TABLE_DUMP_V2 archive, admitting every RIB entry of
@@ -545,7 +473,7 @@ func (d *Dataset) AddMRT(r io.Reader) error {
 			return nil
 		}
 		for i := range rib.Entries {
-			d.Admit(&rib.Entries[i].Attrs, rib.Prefix)
+			d.Admit(&rib.Entries[i].Attrs)
 		}
 		return nil
 	})
@@ -681,9 +609,9 @@ func (d *Dataset) ensureSorted() {
 	d.arena, d.recs = arena, recs
 	d.sorted = true
 	// Record indexes moved: the dedup table is rebuilt on the next
-	// Retain, and the Paths order and views restart.
+	// Retain, and the Paths order restarts.
 	d.tab = nil
-	d.order, d.views = nil, nil
+	d.order = nil
 }
 
 // Freeze finalizes ingestion into the frozen form the merge and the
@@ -705,11 +633,10 @@ func (d *Dataset) Freeze() {
 // archive order produces exactly the dataset sequential ingestion of
 // the same archives in that order would have: paths new to d are
 // adopted with their first-seen attributes, paths d already holds keep
-// d's attributes and gain other's prefixes and observation counts, and
-// the ingest tallies sum, as do the records' reference counts. Merge
-// takes ownership of other's records; other must not be used
-// afterwards. It renumbers d's records, so a caller holding Retain
-// handles on either dataset must not call it.
+// d's attributes, and the ingest tallies sum, as do the records'
+// reference counts. Merge takes ownership of other's records; other
+// must not be used afterwards. It renumbers d's records, so a caller
+// holding Retain handles on either dataset must not call it.
 //
 // Both path tables are frozen sorted and merged with one two-pointer
 // walk; the frozen link indexes merge the same way, with the links of
@@ -740,8 +667,7 @@ func (d *Dataset) Merge(other *Dataset) error {
 		off := uint32(len(arena))
 		if foreign {
 			// A path adopted from other: re-intern its ASes into d's id
-			// space and move its community set and overflow prefixes
-			// into d's arenas.
+			// space and move its community set into d's arena.
 			for _, id := range src.arena[r.off:r.end] {
 				if ids[id] == 0 {
 					ids[id] = d.in.Intern(src.in.ASN(id)) + 1
@@ -751,10 +677,6 @@ func (d *Dataset) Merge(other *Dataset) error {
 			commOff := uint32(len(d.commArena))
 			d.commArena = append(d.commArena, src.commArena[r.commOff:r.commEnd]...)
 			r.commOff, r.commEnd = commOff, uint32(len(d.commArena))
-			if r.moreIdx >= 0 {
-				d.morePrefixes = append(d.morePrefixes, src.morePrefixes[r.moreIdx])
-				r.moreIdx = int32(len(d.morePrefixes)) - 1
-			}
 		} else {
 			arena = append(arena, src.arena[r.off:r.end]...)
 		}
@@ -775,25 +697,13 @@ func (d *Dataset) Merge(other *Dataset) error {
 			adopt(other, other.recs[j], true)
 			j++
 		default:
-			// Same path in both shards: d's attributes win, counts sum,
-			// other's new prefixes append in their observed order, and
-			// when both shards counted this path's links, other's count
-			// is subtracted once.
+			// Same path in both shards: d's attributes win, reference
+			// counts sum, and when both shards counted this path's
+			// links, other's count is subtracted once.
 			r := d.recs[i]
 			o := &other.recs[j]
 			both := r.refs > 0 && o.refs > 0
 			r.refs += o.refs
-			r.obs += o.obs
-			if o.prefix0.valid && !d.hasPrefix(&r, o.prefix0) {
-				d.addPrefix(&r, o.prefix0)
-			}
-			if o.moreIdx >= 0 {
-				for _, p := range other.morePrefixes[o.moreIdx] {
-					if !d.hasPrefix(&r, p) {
-						d.addPrefix(&r, p)
-					}
-				}
-			}
 			if both {
 				seq := other.arena[o.off:o.end]
 				for k := 1; k < len(seq); k++ {
@@ -818,7 +728,7 @@ func (d *Dataset) Merge(other *Dataset) error {
 	d.flatMu.Lock()
 	d.flat = intern.SubCounts(intern.MergeCounts(dFlat, oFlat), dup.Freeze())
 	d.accum, d.neg = intern.CountsAccum{}, intern.CountsAccum{}
-	d.order, d.views = nil, nil
+	d.order = nil
 	d.flatMu.Unlock()
 
 	d.observations += other.observations
@@ -867,18 +777,35 @@ func (d *Dataset) NumUniquePaths() int { return d.active }
 // including dropped ones.
 func (d *Dataset) NumObservations() int { return d.observations }
 
-// Dropped returns the counts of observations rejected for AS_SETs and
-// for loops.
+// Dropped returns the counts of observations rejected for an AS_SET or
+// an empty path, and for loops.
 func (d *Dataset) Dropped() (sets, loops int) { return d.droppedSets, d.droppedLoops }
 
-// Paths returns the currently-retained unique path observations
-// ordered by (vantage, path). It is incremental: the canonical record
-// order persists across calls, and only records created since the last
-// call are sorted, then merged into it. Each record's PathObs is
-// materialized once and reused until Retain or Release changes the
-// record, so a call re-materializes only the records touched since the
-// previous one. The returned slice is the caller's.
-func (d *Dataset) Paths() []*PathObs {
+// Paths returns a walk over the currently-retained unique paths in
+// canonical (vantage, path) order. Each walk extends the canonical
+// record order under flatMu — only records created since the previous
+// walk are sorted, then merged in — and yields one walk-local PathObs
+// filled by Record for every active record. A yielded PathObs is valid
+// only until the next step: a caller keeping a path past it copies
+// Path. Concurrent walks are safe; a walk concurrent with mutation is
+// not.
+func (d *Dataset) Paths() iter.Seq[*PathObs] {
+	return func(yield func(*PathObs) bool) {
+		var p PathObs
+		for _, ri := range d.walkOrder() {
+			if d.recs[ri].refs == 0 {
+				continue // released path; invisible until retained again
+			}
+			if !yield(d.Record(ri, &p)) {
+				return
+			}
+		}
+	}
+}
+
+// walkOrder extends the canonical record order by the records created
+// since the last walk and returns it.
+func (d *Dataset) walkOrder() []int32 {
 	d.flatMu.Lock()
 	defer d.flatMu.Unlock()
 	if n := len(d.order); n < len(d.recs) {
@@ -892,22 +819,7 @@ func (d *Dataset) Paths() []*PathObs {
 			d.order = d.mergeOrder(d.order, fresh)
 		}
 	}
-	if n := len(d.recs) - len(d.views); n > 0 {
-		d.views = append(d.views, make([]*PathObs, n)...)
-	}
-	out := make([]*PathObs, 0, d.active)
-	for _, ri := range d.order {
-		if d.recs[ri].refs == 0 {
-			continue // released path; invisible until retained again
-		}
-		p := d.views[ri]
-		if p == nil {
-			p = d.materialize(ri)
-			d.views[ri] = p
-		}
-		out = append(out, p)
-	}
-	return out
+	return d.order
 }
 
 // mergeOrder merges two canonically sorted runs of record indexes.
@@ -926,39 +838,6 @@ func (d *Dataset) mergeOrder(old, fresh []int32) []int32 {
 	}
 	out = append(out, old[i:]...)
 	return append(out, fresh[j:]...)
-}
-
-// materialize builds the PathObs view of one record. The path slice is
-// fresh; communities alias the arena.
-func (d *Dataset) materialize(ri int32) *PathObs {
-	r := &d.recs[ri]
-	path := make([]asrel.ASN, r.end-r.off)
-	for i, id := range d.arena[r.off:r.end] {
-		path[i] = d.in.ASN(id)
-	}
-	var prefixes []netip.Prefix
-	if n := d.numPrefixes(r); n > 0 {
-		prefixes = make([]netip.Prefix, 0, n)
-		prefixes = append(prefixes, r.prefix0.unpack())
-		if r.moreIdx >= 0 {
-			for _, q := range d.morePrefixes[r.moreIdx] {
-				prefixes = append(prefixes, q.unpack())
-			}
-		}
-	}
-	var comms []bgp.Community
-	if r.commEnd > r.commOff {
-		comms = d.commArena[r.commOff:r.commEnd:r.commEnd]
-	}
-	return &PathObs{
-		Vantage:     path[0],
-		Path:        path,
-		Prefixes:    prefixes,
-		Communities: comms,
-		LocPrf:      r.locPrf,
-		HasLocPrf:   r.hasLocPrf,
-		Obs:         int(r.obs),
-	}
 }
 
 // Links returns the observed link keys in canonical order.

@@ -12,25 +12,26 @@ import (
 )
 
 // TestAddPathCleaning pins path cleaning on ingest: prepending
-// collapses, a loop or an empty path is rejected and tallied, a
+// collapses, a loop or an empty path is rejected and tallied (the
+// empty path as a set drop, as Admit tallies it), a
 // single-AS path is kept, and a path longer than the pairwise loop
 // check's bound goes through the map-checked branch with the same
 // verdicts.
 func TestAddPathCleaning(t *testing.T) {
 	d := New(asrel.IPv4)
-	if err := d.AddPath([]asrel.ASN{1, 1, 2, 2, 2, 3}, netip.Prefix{}, nil, 0, false); err != nil {
+	if err := d.AddPath([]asrel.ASN{1, 1, 2, 2, 2, 3}, nil, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Paths()[0].Path; !reflect.DeepEqual(got, []asrel.ASN{1, 2, 3}) {
+	if got := walk(d)[0].Path; !reflect.DeepEqual(got, []asrel.ASN{1, 2, 3}) {
 		t.Errorf("prepend collapse = %v", got)
 	}
-	if err := d.AddPath([]asrel.ASN{1, 2, 1}, netip.Prefix{}, nil, 0, false); err == nil {
+	if err := d.AddPath([]asrel.ASN{1, 2, 1}, nil, 0, false); err == nil {
 		t.Error("loop accepted")
 	}
-	if err := d.AddPath(nil, netip.Prefix{}, nil, 0, false); err == nil {
+	if err := d.AddPath(nil, nil, 0, false); err == nil {
 		t.Error("empty path accepted")
 	}
-	if err := d.AddPath([]asrel.ASN{7}, netip.Prefix{}, nil, 0, false); err != nil {
+	if err := d.AddPath([]asrel.ASN{7}, nil, 0, false); err != nil {
 		t.Errorf("single-AS path rejected: %v", err)
 	}
 
@@ -38,22 +39,22 @@ func TestAddPathCleaning(t *testing.T) {
 	for i := 0; i < cleanPathQuadraticMax+8; i++ {
 		long = append(long, asrel.ASN(100+i), asrel.ASN(100+i)) // every hop prepended
 	}
-	if err := d.AddPath(long, netip.Prefix{}, nil, 0, false); err != nil {
+	if err := d.AddPath(long, nil, 0, false); err != nil {
 		t.Fatalf("long prepended path rejected: %v", err)
 	}
 	looped := append(append([]asrel.ASN(nil), long...), 100)
-	if err := d.AddPath(looped, netip.Prefix{}, nil, 0, false); err == nil {
+	if err := d.AddPath(looped, nil, 0, false); err == nil {
 		t.Error("loop in a long path accepted")
 	}
 
-	if sets, loops := d.Dropped(); sets != 0 || loops != 3 {
-		t.Errorf("drops = %d sets, %d loops; want 0, 3 (two loops and the empty path)", sets, loops)
+	if sets, loops := d.Dropped(); sets != 1 || loops != 2 {
+		t.Errorf("drops = %d sets, %d loops; want 1 (the empty path), 2", sets, loops)
 	}
 	if d.NumUniquePaths() != 3 || d.NumObservations() != 6 {
 		t.Errorf("unique = %d, observations = %d; want 3, 6", d.NumUniquePaths(), d.NumObservations())
 	}
 	var got []asrel.ASN
-	for _, p := range d.Paths() {
+	for _, p := range walk(d) {
 		if len(p.Path) > cleanPathQuadraticMax {
 			got = p.Path
 		}
@@ -69,10 +70,9 @@ func TestAddPathCleaning(t *testing.T) {
 // path on first sight only.
 func TestAdmitTallies(t *testing.T) {
 	d := New(asrel.IPv4)
-	pfx := netip.MustParsePrefix("10.1.0.0/16")
 	admit := func(path bgp.ASPath) (bool, bool) {
 		attrs := bgp.Attrs{ASPath: path}
-		_, activated, ok := d.Admit(&attrs, pfx)
+		_, activated, ok := d.Admit(&attrs)
 		return activated, ok
 	}
 	set := bgp.ASPath{
@@ -103,29 +103,44 @@ func TestAdmitTallies(t *testing.T) {
 	}
 }
 
+// TestEmptyPathTallySameAtEveryEntry pins one tally for one
+// rejection: an empty path is a set drop whether it arrives raw
+// through AddPath or as an empty AS_PATH through Admit.
+func TestEmptyPathTallySameAtEveryEntry(t *testing.T) {
+	raw, admitted := New(asrel.IPv4), New(asrel.IPv4)
+	if err := raw.AddPath(nil, nil, 0, false); err == nil {
+		t.Error("empty path accepted by AddPath")
+	}
+	if _, _, ok := admitted.Admit(&bgp.Attrs{}); ok {
+		t.Error("empty AS_PATH accepted by Admit")
+	}
+	rs, rl := raw.Dropped()
+	as, al := admitted.Dropped()
+	if rs != as || rl != al || rs != 1 {
+		t.Errorf("AddPath(nil) drops = %d sets, %d loops; Admit of an empty AS_PATH = %d, %d; want 1, 0 for both", rs, rl, as, al)
+	}
+	if raw.NumObservations() != 1 || admitted.NumObservations() != 1 {
+		t.Errorf("observations = %d, %d; want 1, 1", raw.NumObservations(), admitted.NumObservations())
+	}
+}
+
 func TestAddPathDedupe(t *testing.T) {
 	d := New(asrel.IPv4)
-	p1 := netip.MustParsePrefix("10.0.0.0/24")
-	p2 := netip.MustParsePrefix("10.0.1.0/24")
 	comms := []bgp.Community{bgp.MakeCommunity(2, 100)}
-	if err := d.AddPath([]asrel.ASN{1, 2, 3}, p1, comms, 300, true); err != nil {
+	if err := d.AddPath([]asrel.ASN{1, 2, 3}, comms, 300, true); err != nil {
 		t.Fatal(err)
 	}
-	// Same path with prepending and another prefix merges.
-	if err := d.AddPath([]asrel.ASN{1, 2, 2, 3}, p2, comms, 300, true); err != nil {
+	// Same path with prepending merges.
+	if err := d.AddPath([]asrel.ASN{1, 2, 2, 3}, comms, 300, true); err != nil {
 		t.Fatal(err)
 	}
-	// Same prefix again: no duplicate prefix entry.
-	if err := d.AddPath([]asrel.ASN{1, 2, 3}, p1, comms, 300, true); err != nil {
+	if err := d.AddPath([]asrel.ASN{1, 2, 3}, comms, 300, true); err != nil {
 		t.Fatal(err)
 	}
 	if d.NumUniquePaths() != 1 {
 		t.Fatalf("unique paths = %d, want 1", d.NumUniquePaths())
 	}
-	obs := d.Paths()[0]
-	if obs.Obs != 3 || len(obs.Prefixes) != 2 {
-		t.Errorf("obs = %d prefixes = %v", obs.Obs, obs.Prefixes)
-	}
+	obs := walk(d)[0]
 	if origin, ok := obs.Origin(); obs.Vantage != 1 || !ok || origin != 3 {
 		t.Error("vantage/origin wrong")
 	}
@@ -145,7 +160,7 @@ func TestFlatIndexIncrementalFreeze(t *testing.T) {
 	d := New(asrel.IPv4)
 	add := func(path ...asrel.ASN) {
 		t.Helper()
-		if err := d.AddPath(path, netip.Prefix{}, nil, 0, false); err != nil {
+		if err := d.AddPath(path, nil, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +182,7 @@ func TestFlatIndexIncrementalFreeze(t *testing.T) {
 
 	// Merge after a freeze folds the adopted paths' links in too.
 	other := New(asrel.IPv4)
-	if err := other.AddPath([]asrel.ASN{5, 2, 3}, netip.Prefix{}, nil, 0, false); err != nil {
+	if err := other.AddPath([]asrel.ASN{5, 2, 3}, nil, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Merge(other); err != nil {
@@ -196,39 +211,9 @@ func TestOriginEmptyPath(t *testing.T) {
 	}
 }
 
-// TestPrefixRoundTripExtremes pins the packed inline prefix against
-// the boundary lengths: /0, /32 and a /128 host route (128 overflows a
-// signed byte — the regression this guards) must survive AddPath →
-// Paths intact.
-func TestPrefixRoundTripExtremes(t *testing.T) {
-	d := New(asrel.IPv6)
-	want := []netip.Prefix{
-		netip.MustParsePrefix("2001:db8::1/128"),
-		netip.MustParsePrefix("::/0"),
-		netip.MustParsePrefix("2001:db8::/32"),
-	}
-	for _, p := range want {
-		if err := d.AddPath([]asrel.ASN{1, 2}, p, nil, 0, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := d.Paths()[0].Prefixes
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("prefixes round-tripped as %v, want %v", got, want)
-	}
-	d4 := New(asrel.IPv4)
-	p4 := netip.MustParsePrefix("192.0.2.1/32")
-	if err := d4.AddPath([]asrel.ASN{1, 2}, p4, nil, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := d4.Paths()[0].Prefixes; len(got) != 1 || got[0] != p4 {
-		t.Fatalf("v4 host route round-tripped as %v, want %v", got, p4)
-	}
-}
-
 func TestAddPathLoopCounted(t *testing.T) {
 	d := New(asrel.IPv4)
-	if err := d.AddPath([]asrel.ASN{1, 2, 1}, netip.Prefix{}, nil, 0, false); err == nil {
+	if err := d.AddPath([]asrel.ASN{1, 2, 1}, nil, 0, false); err == nil {
 		t.Fatal("loop path accepted")
 	}
 	_, loops := d.Dropped()
@@ -248,9 +233,9 @@ func TestLinkVisibilityCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check(d.AddPath([]asrel.ASN{1, 2, 3}, netip.Prefix{}, nil, 0, false))
-	check(d.AddPath([]asrel.ASN{4, 2, 3}, netip.Prefix{}, nil, 0, false))
-	check(d.AddPath([]asrel.ASN{5, 2}, netip.Prefix{}, nil, 0, false))
+	check(d.AddPath([]asrel.ASN{1, 2, 3}, nil, 0, false))
+	check(d.AddPath([]asrel.ASN{4, 2, 3}, nil, 0, false))
+	check(d.AddPath([]asrel.ASN{5, 2}, nil, 0, false))
 	if got := d.LinkVisibility(asrel.Key(2, 3)); got != 2 {
 		t.Errorf("vis(2-3) = %d, want 2", got)
 	}
@@ -306,14 +291,14 @@ func TestAddMRTFiltersPlane(t *testing.T) {
 	if err := d6.AddMRT(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
-	if origin, ok := d6.Paths()[0].Origin(); d6.NumUniquePaths() != 1 || !ok || origin != 5 {
+	if origin, ok := walk(d6)[0].Origin(); d6.NumUniquePaths() != 1 || !ok || origin != 5 {
 		t.Errorf("v6 ingest = %d paths", d6.NumUniquePaths())
 	}
 	d4 := New(asrel.IPv4)
 	if err := d4.AddMRT(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
-	if origin, ok := d4.Paths()[0].Origin(); d4.NumUniquePaths() != 1 || !ok || origin != 3 {
+	if origin, ok := walk(d4)[0].Origin(); d4.NumUniquePaths() != 1 || !ok || origin != 3 {
 		t.Errorf("v4 ingest = %d paths", d4.NumUniquePaths())
 	}
 }
@@ -358,42 +343,38 @@ func TestAddMRTDropsSetPaths(t *testing.T) {
 func TestMergeMatchesSequential(t *testing.T) {
 	// Two "archives" of raw observations with overlapping paths: shard
 	// ingestion + Merge must reproduce sequential ingestion exactly.
-	type obs struct {
-		path   []asrel.ASN
-		prefix netip.Prefix
-	}
-	archives := [][]obs{
+	archives := [][][]asrel.ASN{
 		{
-			{[]asrel.ASN{1, 2, 3}, netip.MustParsePrefix("10.0.0.0/24")},
-			{[]asrel.ASN{1, 2, 2, 3}, netip.MustParsePrefix("10.0.1.0/24")},
-			{[]asrel.ASN{4, 2, 5}, netip.MustParsePrefix("10.0.2.0/24")},
-			{[]asrel.ASN{4, 4, 1}, netip.Prefix{}},
+			{1, 2, 3},
+			{1, 2, 2, 3},
+			{4, 2, 5},
+			{4, 4, 1},
 		},
 		{
-			{[]asrel.ASN{1, 2, 3}, netip.MustParsePrefix("10.0.3.0/24")}, // dup path, new prefix
-			{[]asrel.ASN{1, 2, 3}, netip.MustParsePrefix("10.0.0.0/24")}, // dup path, dup prefix
-			{[]asrel.ASN{6, 2, 3}, netip.MustParsePrefix("10.0.4.0/24")}, // new path, shared link
-			{[]asrel.ASN{7, 8, 7}, netip.Prefix{}},                       // loop, dropped
+			{1, 2, 3}, // dup path
+			{1, 2, 3}, // dup path again
+			{6, 2, 3}, // new path, shared link
+			{7, 8, 7}, // loop, dropped
 		},
 	}
 	seq := New(asrel.IPv4)
 	for _, arch := range archives {
-		for _, o := range arch {
-			_ = seq.AddPath(o.path, o.prefix, nil, 0, false)
+		for _, path := range arch {
+			_ = seq.AddPath(path, nil, 0, false)
 		}
 	}
 	merged := New(asrel.IPv4)
 	for _, arch := range archives {
 		shard := New(asrel.IPv4)
-		for _, o := range arch {
-			_ = shard.AddPath(o.path, o.prefix, nil, 0, false)
+		for _, path := range arch {
+			_ = shard.AddPath(path, nil, 0, false)
 		}
 		if err := merged.Merge(shard); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(seq.Paths(), merged.Paths()) {
-		t.Errorf("merged paths differ from sequential:\nseq: %+v\nmerged: %+v", seq.Paths(), merged.Paths())
+	if got, want := walk(merged), walk(seq); !reflect.DeepEqual(want, got) {
+		t.Errorf("merged paths differ from sequential:\nseq: %+v\nmerged: %+v", want, got)
 	}
 	if !reflect.DeepEqual(seq.Links(), merged.Links()) {
 		t.Errorf("merged links differ: %v vs %v", seq.Links(), merged.Links())
@@ -438,10 +419,10 @@ func TestDualStack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check(d4.AddPath([]asrel.ASN{1, 2, 3}, netip.Prefix{}, nil, 0, false))
-	check(d4.AddPath([]asrel.ASN{1, 4}, netip.Prefix{}, nil, 0, false))
-	check(d6.AddPath([]asrel.ASN{2, 3}, netip.Prefix{}, nil, 0, false))
-	check(d6.AddPath([]asrel.ASN{5, 6}, netip.Prefix{}, nil, 0, false))
+	check(d4.AddPath([]asrel.ASN{1, 2, 3}, nil, 0, false))
+	check(d4.AddPath([]asrel.ASN{1, 4}, nil, 0, false))
+	check(d6.AddPath([]asrel.ASN{2, 3}, nil, 0, false))
+	check(d6.AddPath([]asrel.ASN{5, 6}, nil, 0, false))
 	want := []asrel.LinkKey{asrel.Key(2, 3)}
 	if got := DualStack(d4, d6); !reflect.DeepEqual(got, want) {
 		t.Errorf("DualStack = %v", got)

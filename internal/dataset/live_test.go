@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math/rand"
-	"net/netip"
 	"reflect"
 	"testing"
 
@@ -13,7 +12,6 @@ import (
 // liveRoute is one announcement a test retains in a dataset.
 type liveRoute struct {
 	path   []asrel.ASN
-	prefix netip.Prefix
 	comms  []bgp.Community
 	locPrf uint32
 }
@@ -31,7 +29,6 @@ func livePool() []liveRoute {
 	for i, p := range paths {
 		r := liveRoute{
 			path:   p,
-			prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16),
 			locPrf: uint32(100 + 10*i),
 		}
 		if i%3 == 0 {
@@ -44,7 +41,7 @@ func livePool() []liveRoute {
 
 // liveModel replays a dataset's history of retains and releases into
 // a batch dataset built fresh: every route retained so far whose path
-// is active now, in order. Obs and prefixes of a record accumulate
+// is active now, in order. A record keeps its first-seen attributes
 // over its whole history, so this is the batch dataset of the active
 // routes Paths must reproduce. The model tells paths apart by
 // replaying each route into a dataset of its own, keys, whose record
@@ -61,7 +58,7 @@ func newLiveModel() *liveModel {
 
 func (m *liveModel) key(t *testing.T, r liveRoute) int32 {
 	t.Helper()
-	idx, _, err := m.keys.Retain(r.path, netip.Prefix{}, nil, 0, false)
+	idx, _, err := m.keys.Retain(r.path, nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +67,7 @@ func (m *liveModel) key(t *testing.T, r liveRoute) int32 {
 
 func (m *liveModel) retain(t *testing.T, d *Dataset, r liveRoute) int32 {
 	t.Helper()
-	idx, _, err := d.Retain(r.path, r.prefix, r.comms, r.locPrf, true)
+	idx, _, err := d.Retain(r.path, r.comms, r.locPrf, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,29 +82,29 @@ func (m *liveModel) release(t *testing.T, d *Dataset, idx int32, r liveRoute) {
 	m.refs[m.key(t, r)]--
 }
 
-func (m *liveModel) batch(t *testing.T) []*PathObs {
+func (m *liveModel) batch(t *testing.T) []PathObs {
 	t.Helper()
 	b := New(asrel.IPv4)
 	for _, r := range m.log {
 		if m.refs[m.key(t, r)] == 0 {
 			continue
 		}
-		if err := b.AddPath(r.path, r.prefix, r.comms, r.locPrf, true); err != nil {
+		if err := b.AddPath(r.path, r.comms, r.locPrf, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return b.Paths()
+	return walk(b)
 }
 
 func checkLivePaths(t *testing.T, step int, d *Dataset, m *liveModel) {
 	t.Helper()
-	got, want := d.Paths(), m.batch(t)
+	got, want := walk(d), m.batch(t)
 	if len(got) != len(want) {
 		t.Fatalf("step %d: live Paths has %d paths, batch of the active routes %d", step, len(got), len(want))
 	}
 	for i := range got {
-		if !reflect.DeepEqual(*got[i], *want[i]) {
-			t.Fatalf("step %d: path %d = %+v, want %+v", step, i, *got[i], *want[i])
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("step %d: path %d = %+v, want %+v", step, i, got[i], want[i])
 		}
 	}
 	if n := d.NumUniquePaths(); n != len(got) {
@@ -137,10 +134,6 @@ func TestLivePathsMatchBatch(t *testing.T) {
 			rib = append(rib[:k], rib[k+1:]...)
 		default:
 			r := pool[rng.Intn(len(pool))]
-			if rng.Intn(3) == 0 {
-				// Same path, another prefix.
-				r.prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{172, byte(rng.Intn(4)), 0, 0}), 16)
-			}
 			rib = append(rib, held{m.retain(t, d, r), r})
 		}
 		if rng.Intn(4) == 0 {
@@ -154,42 +147,43 @@ func TestLivePathsMatchBatch(t *testing.T) {
 		m.release(t, d, h.idx, h.r)
 	}
 	checkLivePaths(t, -2, d, m)
-	if n := len(d.Paths()); n != 0 {
+	if n := len(walk(d)); n != 0 {
 		t.Fatalf("%d paths visible with every route withdrawn", n)
 	}
 	m.retain(t, d, pool[4])
 	checkLivePaths(t, -3, d, m)
 }
 
-// TestLivePathsReflectRetainAfterCall guards the per-record view
-// cache: a record retained again after a Paths call must show its new
-// observation count and added prefix, while untouched records keep
-// their cached view.
+// TestLivePathsReflectRetainAfterCall checks walks against retains
+// made between them: a record retained again after a walk, by a route
+// with another LOCAL_PREF, still appears once and with its first-seen
+// attributes, and an untouched record reads as it did.
 func TestLivePathsReflectRetainAfterCall(t *testing.T) {
 	pool := livePool()
 	d := New(asrel.IPv4)
 	m := newLiveModel()
 	m.retain(t, d, pool[0])
 	m.retain(t, d, pool[1])
-	first := d.Paths()
-	if again := d.Paths(); again[0] != first[0] || again[1] != first[1] {
-		t.Error("unchanged records were materialized again")
+	first := walk(d)
+	if again := walk(d); !reflect.DeepEqual(again, first) {
+		t.Error("a second walk over unchanged records differs from the first")
 	}
 
 	r := pool[0]
-	r.prefix = netip.MustParsePrefix("192.0.2.0/24")
+	r.locPrf = 999
 	m.retain(t, d, r)
 	checkLivePaths(t, 0, d, m)
 	var got *PathObs
-	for _, p := range d.Paths() {
-		if p.Vantage == 7 {
-			got = p
+	paths := walk(d)
+	for i := range paths {
+		if paths[i].Vantage == 7 {
+			got = &paths[i]
 		}
 	}
-	if got == nil || got.Obs != 2 || len(got.Prefixes) != 2 || got.Prefixes[1] != r.prefix {
-		t.Fatalf("re-retained record shows a stale view: %+v", got)
+	if got == nil || got.LocPrf != pool[0].locPrf {
+		t.Fatalf("re-retained record lost its first-seen attributes: %+v", got)
 	}
-	if untouched := d.Paths()[0]; untouched != first[0] {
-		t.Error("an untouched record lost its cached view")
+	if untouched := paths[0]; !reflect.DeepEqual(untouched, first[0]) {
+		t.Errorf("an untouched record reads %+v, was %+v", untouched, first[0])
 	}
 }

@@ -2,16 +2,20 @@ package dataset
 
 // Concurrency test for the lazily-built derived state: the first query
 // after ingest folds the pending link occurrences into the frozen flat
-// index and materializes the path cache, and any number of goroutines
-// may trigger that fold simultaneously. Mirrors core's analysis race
-// test; run under -race in CI.
+// index and extends the canonical path order, and any number of
+// goroutines may trigger that fold simultaneously. Each Paths walk
+// fills its own PathObs, so concurrent walks must each read every
+// record intact. Mirrors core's analysis race test; run under -race in
+// CI.
 
 import (
-	"net/netip"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"hybridrel/internal/asrel"
+	"hybridrel/internal/bgp"
 )
 
 func TestConcurrentFirstFlatAccess(t *testing.T) {
@@ -19,7 +23,8 @@ func TestConcurrentFirstFlatAccess(t *testing.T) {
 		d := New(asrel.IPv4)
 		for v := asrel.ASN(100); v < 140; v++ {
 			path := []asrel.ASN{v, 2, 3, asrel.ASN(200 + v%7)}
-			if err := d.AddPath(path, netip.Prefix{}, nil, 0, false); err != nil {
+			comms := []bgp.Community{bgp.MakeCommunity(uint16(v), uint16(v%5))}
+			if err := d.AddPath(path, comms, uint32(v), v%2 == 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -30,9 +35,9 @@ func TestConcurrentFirstFlatAccess(t *testing.T) {
 	ref := build()
 	wantLinks := ref.NumLinks()
 	wantVis := ref.LinkVisibility(asrel.Key(2, 3))
-	wantPaths := len(ref.Paths())
+	wantPaths := walk(ref)
 
-	// Fresh dataset: nothing folded or materialized yet; every accessor
+	// Fresh dataset: nothing folded or ordered yet; every accessor
 	// races on the first freeze.
 	d := build()
 	const workers = 8
@@ -48,8 +53,16 @@ func TestConcurrentFirstFlatAccess(t *testing.T) {
 			if got := d.LinkVisibility(asrel.Key(2, 3)); got != wantVis {
 				errs <- "LinkVisibility mismatch"
 			}
-			if got := len(d.Paths()); got != wantPaths {
-				errs <- "Paths length mismatch"
+			i := 0
+			for p := range d.Paths() {
+				if i >= len(wantPaths) || !reflect.DeepEqual(*p, wantPaths[i]) {
+					errs <- fmt.Sprintf("Paths record %d = %+v", i, *p)
+					break
+				}
+				i++
+			}
+			if i != len(wantPaths) {
+				errs <- fmt.Sprintf("Paths yields %d records, want %d", i, len(wantPaths))
 			}
 			n := 0
 			d.EachLink(func(asrel.LinkKey, int) { n++ })

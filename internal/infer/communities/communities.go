@@ -7,6 +7,8 @@
 package communities
 
 import (
+	"iter"
+
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/community"
 	"hybridrel/internal/dataset"
@@ -29,10 +31,10 @@ type Result struct {
 	TERoutes int
 }
 
-// Infer mines every path against the dictionary.
-func Infer(paths []*dataset.PathObs, dict *community.Dictionary) *Result {
+// Infer mines every path of one walk against the dictionary.
+func Infer(paths iter.Seq[*dataset.PathObs], dict *community.Dictionary) *Result {
 	res := &Result{Votes: infer.NewVoteTable()}
-	for _, p := range paths {
+	for p := range paths {
 		contributed, offPath, hasTE := PathVotes(p, dict, res.Votes.Add)
 		res.OffPathTags += offPath
 		if contributed {

@@ -1,6 +1,8 @@
 package communities
 
 import (
+	"iter"
+	"slices"
 	"testing"
 
 	"hybridrel/internal/asrel"
@@ -36,7 +38,7 @@ func TestInferAttribution(t *testing.T) {
 	paths := []*dataset.PathObs{
 		obs([]asrel.ASN{10, 20, 30}, bgp.MakeCommunity(20, 100), bgp.MakeCommunity(10, 77)),
 	}
-	res := Infer(paths, d)
+	res := Infer(slices.Values(paths), d)
 	if res.Table.Get(20, 30) != asrel.P2C {
 		t.Errorf("rel(20,30) = %s, want p2c", res.Table.Get(20, 30))
 	}
@@ -62,7 +64,7 @@ func TestInferSkipsUnusableTags(t *testing.T) {
 			bgp.MakeCommunity(20, 12345), // undocumented
 		),
 	}
-	res := Infer(paths, d)
+	res := Infer(slices.Values(paths), d)
 	if res.Table.Len() != 0 {
 		t.Errorf("table = %d entries, want 0", res.Table.Len())
 	}
@@ -89,7 +91,7 @@ func TestInferVoteAggregation(t *testing.T) {
 		obs([]asrel.ASN{12, 20, 30}, bgp.MakeCommunity(20, 100)),
 		obs([]asrel.ASN{13, 20, 30}, bgp.MakeCommunity(20, 200)),
 	}
-	res := Infer(paths, d)
+	res := Infer(slices.Values(paths), d)
 	if got := res.Table.Get(20, 30); got != asrel.P2C {
 		t.Errorf("rel(20,30) = %s, want p2c by majority", got)
 	}
@@ -110,7 +112,7 @@ func TestInferAgainstGroundTruth(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
-		ds    func() []*dataset.PathObs
+		ds    func() iter.Seq[*dataset.PathObs]
 		truth *asrel.Table
 		links []asrel.LinkKey
 	}{
@@ -135,7 +137,7 @@ func TestInferAgainstGroundTruth(t *testing.T) {
 }
 
 func TestInferEmptyInputs(t *testing.T) {
-	res := Infer(nil, community.NewDictionary())
+	res := Infer(dataset.New(asrel.IPv6).Paths(), community.NewDictionary())
 	if res.Table.Len() != 0 || res.TaggedPaths != 0 {
 		t.Error("empty inference produced output")
 	}

@@ -15,6 +15,8 @@
 package gao
 
 import (
+	"iter"
+
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/dataset"
 	"hybridrel/internal/infer"
@@ -44,8 +46,8 @@ type Result struct {
 	Peerings int
 }
 
-// Infer runs the algorithm over the observed paths.
-func Infer(paths []*dataset.PathObs, cfg Config) *Result {
+// Infer runs the algorithm over the observed paths, walking them twice.
+func Infer(paths iter.Seq[*dataset.PathObs], cfg Config) *Result {
 	if cfg.DegreeRatio <= 0 {
 		cfg.DegreeRatio = 60
 	}
@@ -57,7 +59,7 @@ func Infer(paths []*dataset.PathObs, cfg Config) *Result {
 	votes := infer.NewVoteTable()
 	notPeer := make(map[asrel.LinkKey]bool)
 	topAdj := make(map[asrel.LinkKey]bool)
-	for _, p := range paths {
+	for p := range paths {
 		if len(p.Path) < 2 {
 			continue
 		}
@@ -111,9 +113,9 @@ func Infer(paths []*dataset.PathObs, cfg Config) *Result {
 }
 
 // degrees computes observed AS degrees (distinct neighbors) from paths.
-func degrees(paths []*dataset.PathObs) map[asrel.ASN]int {
+func degrees(paths iter.Seq[*dataset.PathObs]) map[asrel.ASN]int {
 	nbrs := make(map[asrel.ASN]map[asrel.ASN]struct{})
-	for _, p := range paths {
+	for p := range paths {
 		for i := 0; i+1 < len(p.Path); i++ {
 			a, b := p.Path[i], p.Path[i+1]
 			if nbrs[a] == nil {

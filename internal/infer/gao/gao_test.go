@@ -1,6 +1,7 @@
 package gao
 
 import (
+	"slices"
 	"testing"
 
 	"hybridrel/internal/asrel"
@@ -26,7 +27,7 @@ func starPaths() []*dataset.PathObs {
 }
 
 func TestInferStarTopology(t *testing.T) {
-	res := Infer(starPaths(), DefaultConfig())
+	res := Infer(slices.Values(starPaths()), DefaultConfig())
 	// Origin-side edges (1, spoke): 1 provider of spoke.
 	for spoke := asrel.ASN(11); spoke <= 18; spoke++ {
 		if got := res.Table.Get(1, spoke); got != asrel.P2C {
@@ -49,7 +50,7 @@ func TestPeeringPassFires(t *testing.T) {
 		p(20, 2, 1, 10),
 		p(21, 2, 1, 11),
 	}
-	res := Infer(paths, DefaultConfig())
+	res := Infer(slices.Values(paths), DefaultConfig())
 	if got := res.Table.Get(1, 2); got != asrel.P2P {
 		t.Errorf("rel(1,2) = %s, want p2p from the peering pass", got)
 	}
@@ -69,7 +70,7 @@ func TestPeeringBlockedWhenInterior(t *testing.T) {
 	for x := asrel.ASN(40); x < 52; x++ {
 		paths = append(paths, p(x, 5, x+100))
 	}
-	res := Infer(paths, DefaultConfig())
+	res := Infer(slices.Values(paths), DefaultConfig())
 	if got := res.Table.Get(1, 2); got == asrel.P2P {
 		t.Error("interior link classified as peering")
 	}
@@ -84,7 +85,7 @@ func TestSiblingOnBalancedConflict(t *testing.T) {
 	for x := asrel.ASN(40); x < 52; x++ {
 		paths = append(paths, p(x, 5, x+100))
 	}
-	res := Infer(paths, DefaultConfig())
+	res := Infer(slices.Values(paths), DefaultConfig())
 	if got := res.Table.Get(1, 2); got != asrel.S2S {
 		t.Errorf("rel(1,2) = %s, want s2s from balanced conflict", got)
 	}
@@ -94,7 +95,7 @@ func TestSiblingOnBalancedConflict(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	res := Infer(starPaths(), Config{}) // zero ratio falls back to 60
+	res := Infer(slices.Values(starPaths()), Config{}) // zero ratio falls back to 60
 	if res.Table.Len() == 0 {
 		t.Error("zero config produced nothing")
 	}

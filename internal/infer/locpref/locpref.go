@@ -21,6 +21,8 @@
 package locpref
 
 import (
+	"iter"
+
 	"hybridrel/internal/asrel"
 	"hybridrel/internal/bgp"
 	"hybridrel/internal/community"
@@ -63,7 +65,7 @@ type Result struct {
 // Infer calibrates and applies LocPrf per vantage. base is the
 // communities-derived table used both as calibration anchor and to skip
 // already-covered links.
-func Infer(paths []*dataset.PathObs, dict *community.Dictionary, base *intern.Table, cfg Config) *Result {
+func Infer(paths iter.Seq[*dataset.PathObs], dict *community.Dictionary, base *intern.Table, cfg Config) *Result {
 	res := &Result{}
 	votes := infer.NewVoteTable()
 	for v, ev := range Group(paths, dict) {
@@ -128,11 +130,12 @@ func (ev *Evidence) Fold(p *dataset.PathObs, dict *community.Dictionary, delta i
 // Empty reports whether no path's evidence remains.
 func (ev *Evidence) Empty() bool { return ev.te == 0 && len(ev.buckets) == 0 }
 
-// Group folds the eligible paths into per-vantage evidence — the
-// grouping batch Infer and the live engine's full recompute share.
-func Group(paths []*dataset.PathObs, dict *community.Dictionary) map[asrel.ASN]*Evidence {
+// Group folds the eligible paths of one walk into per-vantage evidence
+// — the grouping batch Infer and the live engine's full recompute
+// share.
+func Group(paths iter.Seq[*dataset.PathObs], dict *community.Dictionary) map[asrel.ASN]*Evidence {
 	out := make(map[asrel.ASN]*Evidence)
-	for _, p := range paths {
+	for p := range paths {
 		if !Eligible(p) {
 			continue
 		}

@@ -1,6 +1,7 @@
 package locpref
 
 import (
+	"slices"
 	"testing"
 
 	"hybridrel/internal/asrel"
@@ -29,7 +30,7 @@ func TestCalibrateAndApply(t *testing.T) {
 		obsLP([]asrel.ASN{10, 30, 98}, 200),
 		obsLP([]asrel.ASN{10, 40, 97}, 300),
 	}
-	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
+	res := Infer(slices.Values(paths), community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
 	if res.CalibratedVantages != 1 {
 		t.Errorf("CalibratedVantages = %d", res.CalibratedVantages)
 	}
@@ -54,7 +55,7 @@ func TestTEFiltering(t *testing.T) {
 		// not be classified.
 		obsLP([]asrel.ASN{10, 40, 97}, 300, te),
 	}
-	res := Infer(paths, dict, intern.FromTable(base), Config{MinSupport: 1})
+	res := Infer(slices.Values(paths), dict, intern.FromTable(base), Config{MinSupport: 1})
 	if res.FilteredTE != 1 {
 		t.Errorf("FilteredTE = %d", res.FilteredTE)
 	}
@@ -74,7 +75,7 @@ func TestAmbiguousBandDropped(t *testing.T) {
 		obsLP([]asrel.ASN{10, 30, 98}, 250),
 		obsLP([]asrel.ASN{10, 40, 97}, 250),
 	}
-	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
+	res := Infer(slices.Values(paths), community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
 	if res.Conflicts != 1 {
 		t.Errorf("Conflicts = %d", res.Conflicts)
 	}
@@ -89,7 +90,7 @@ func TestNoLocPrfNoInference(t *testing.T) {
 	paths := []*dataset.PathObs{
 		{Vantage: 10, Path: []asrel.ASN{10, 20, 99}, LocPrf: 300}, // HasLocPrf false
 	}
-	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
+	res := Infer(slices.Values(paths), community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
 	if res.CalibratedVantages != 0 || res.Table.Len() != 0 {
 		t.Error("inference ran without LocPrf feeds")
 	}
@@ -107,7 +108,7 @@ func TestPerVantageIsolation(t *testing.T) {
 		obsLP([]asrel.ASN{11, 21, 99}, 300),
 		obsLP([]asrel.ASN{11, 41, 97}, 300),
 	}
-	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
+	res := Infer(slices.Values(paths), community.NewDictionary(), intern.FromTable(base), Config{MinSupport: 1})
 	if got := res.Table.Get(10, 40); got != asrel.P2C {
 		t.Errorf("vantage 10 band: rel(10,40) = %s", got)
 	}
@@ -209,7 +210,7 @@ func TestTEPathsCountOnlyAsFiltered(t *testing.T) {
 		obsLP([]asrel.ASN{10, 20, 98}, 300, te),
 		obsLP([]asrel.ASN{10, 40, 97}, 300, te),
 	}
-	ev := Group(paths, dict)[10]
+	ev := Group(slices.Values(paths), dict)[10]
 	if ev == nil || ev.te != 3 || len(ev.buckets) != 0 {
 		t.Fatalf("TE paths reached the buckets: %+v", ev)
 	}
@@ -232,7 +233,7 @@ func TestBandSupportedByMultiplicity(t *testing.T) {
 		obsLP([]asrel.ASN{10, 40, 97}, 300),
 		obsLP([]asrel.ASN{10, 40, 96}, 300),
 	}
-	ev := Group(paths, community.NewDictionary())[10]
+	ev := Group(slices.Values(paths), community.NewDictionary())[10]
 	var got []int
 	st := Calibrate(10, ev, intern.FromTable(base), DefaultConfig(), func(a, b asrel.ASN, rel asrel.Rel, n int) {
 		if a != 10 || b != 40 || rel != asrel.P2C {
@@ -243,7 +244,7 @@ func TestBandSupportedByMultiplicity(t *testing.T) {
 	if !st.Calibrated || st.Applied != 2 || len(got) != 1 || got[0] != 2 {
 		t.Errorf("stats = %+v, emissions %v; want one emission of 2", st, got)
 	}
-	res := Infer(paths, community.NewDictionary(), intern.FromTable(base), DefaultConfig())
+	res := Infer(slices.Values(paths), community.NewDictionary(), intern.FromTable(base), DefaultConfig())
 	if res.CalibratedVantages != 1 || res.Applied != 2 || res.Table.Get(10, 40) != asrel.P2C {
 		t.Errorf("Infer = %+v", res)
 	}

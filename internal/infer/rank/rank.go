@@ -11,6 +11,7 @@
 package rank
 
 import (
+	"iter"
 	"sort"
 
 	"hybridrel/internal/asrel"
@@ -46,8 +47,9 @@ type Result struct {
 	Peerings int
 }
 
-// Infer runs the heuristic over the observed paths.
-func Infer(paths []*dataset.PathObs, cfg Config) *Result {
+// Infer runs the heuristic over the observed paths, walking them three
+// times.
+func Infer(paths iter.Seq[*dataset.PathObs], cfg Config) *Result {
 	if cfg.CliqueSize <= 0 {
 		cfg.CliqueSize = 12
 	}
@@ -67,7 +69,7 @@ func Infer(paths []*dataset.PathObs, cfg Config) *Result {
 
 	votes := infer.NewVoteTable()
 	topAdj := make(map[asrel.LinkKey]bool)
-	for _, p := range paths {
+	for p := range paths {
 		if len(p.Path) < 2 {
 			continue
 		}
@@ -121,9 +123,9 @@ func Infer(paths []*dataset.PathObs, cfg Config) *Result {
 
 // transitDegrees counts, per AS, the distinct neighbors it appears
 // between on paths — ASes it visibly provides transit between.
-func transitDegrees(paths []*dataset.PathObs) map[asrel.ASN]int {
+func transitDegrees(paths iter.Seq[*dataset.PathObs]) map[asrel.ASN]int {
 	sets := make(map[asrel.ASN]map[asrel.ASN]struct{})
-	for _, p := range paths {
+	for p := range paths {
 		for i := 1; i+1 < len(p.Path); i++ {
 			b := p.Path[i]
 			if sets[b] == nil {
@@ -140,9 +142,9 @@ func transitDegrees(paths []*dataset.PathObs) map[asrel.ASN]int {
 	return out
 }
 
-func adjacency(paths []*dataset.PathObs) map[asrel.LinkKey]bool {
+func adjacency(paths iter.Seq[*dataset.PathObs]) map[asrel.LinkKey]bool {
 	adj := make(map[asrel.LinkKey]bool)
-	for _, p := range paths {
+	for p := range paths {
 		for i := 0; i+1 < len(p.Path); i++ {
 			adj[asrel.Key(p.Path[i], p.Path[i+1])] = true
 		}

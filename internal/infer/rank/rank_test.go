@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"slices"
 	"testing"
 
 	"hybridrel/internal/asrel"
@@ -20,7 +21,7 @@ func TestTransitDegrees(t *testing.T) {
 		p(4, 2, 5),
 		p(1, 2, 3), // duplicate adds nothing
 	}
-	td := transitDegrees(paths)
+	td := transitDegrees(slices.Values(paths))
 	if td[2] != 4 {
 		t.Errorf("td[2] = %d, want 4 (neighbors 1,3,4,5)", td[2])
 	}
@@ -103,7 +104,7 @@ func TestDominantVotesResistPeering(t *testing.T) {
 		paths = append(paths, p(v, 1, 2, v+100))
 	}
 	paths = append(paths, p(30, 2, 31), p(32, 1, 33))
-	res := Infer(paths, DefaultConfig())
+	res := Infer(slices.Values(paths), DefaultConfig())
 	for _, c := range clique {
 		found := false
 		for _, m := range res.Clique {
@@ -121,7 +122,7 @@ func TestDominantVotesResistPeering(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	res := Infer([]*dataset.PathObs{p(1, 2, 3)}, Config{})
+	res := Infer(slices.Values([]*dataset.PathObs{p(1, 2, 3)}), Config{})
 	if res.Table.Len() == 0 {
 		t.Error("zero config inferred nothing")
 	}

@@ -52,6 +52,7 @@ type planeEngine struct {
 	dirtyVant map[asrel.ASN]struct{}
 	lpDirty   map[asrel.LinkKey]struct{} // resolve scratch: links whose LocPrf votes moved
 	changed   []uint64                   // resolve scratch: packed links whose relationship moved
+	scratch   dataset.PathObs            // the record activate and deactivate read
 
 	// fullRecomputes / incrementalResolves count resolve() strategies
 	// taken, for observability and tests.
@@ -82,8 +83,9 @@ func newPlaneEngine(d *dataset.Dataset, dict *community.Dictionary, cfg locpref.
 	}
 }
 
-// activate folds a newly-active path's evidence in.
-func (e *planeEngine) activate(p *dataset.PathObs) {
+// activate folds the evidence of record idx, newly active, in.
+func (e *planeEngine) activate(idx int32) {
+	p := e.d.Record(idx, &e.scratch)
 	communityinfer.PathVotes(p, e.dict, func(a, b asrel.ASN, rel asrel.Rel) {
 		e.comm.Add(a, b, rel)
 		e.dirtyComm[asrel.Key(a, b)] = struct{}{}
@@ -99,9 +101,11 @@ func (e *planeEngine) activate(p *dataset.PathObs) {
 	}
 }
 
-// deactivate retracts a withdrawn path's evidence — the exact votes
-// and bucket counts activate added, replayed with opposite sign.
-func (e *planeEngine) deactivate(p *dataset.PathObs) {
+// deactivate retracts the evidence of record idx, withdrawn — the
+// exact votes and bucket counts activate added, replayed with opposite
+// sign.
+func (e *planeEngine) deactivate(idx int32) {
+	p := e.d.Record(idx, &e.scratch)
 	communityinfer.PathVotes(p, e.dict, func(a, b asrel.ASN, rel asrel.Rel) {
 		e.comm.Sub(a, b, rel)
 		e.dirtyComm[asrel.Key(a, b)] = struct{}{}
@@ -121,7 +125,7 @@ func (e *planeEngine) deactivate(p *dataset.PathObs) {
 // path's evidence when it was the last.
 func (e *planeEngine) release(idx int32) {
 	if e.d.Release(idx) {
-		e.deactivate(e.d.RecObs(idx))
+		e.deactivate(idx)
 	}
 }
 
@@ -239,7 +243,7 @@ func (e *planeEngine) recompute() {
 	clear(e.dirtyVant)
 
 	paths := e.d.Paths()
-	for _, p := range paths {
+	for p := range paths {
 		communityinfer.PathVotes(p, e.dict, e.comm.Add)
 	}
 	e.commTable = e.comm.Resolve()

@@ -155,9 +155,9 @@ func (ap *Applier) Apply(ev Event) error {
 func (ap *Applier) announce(e *planeEngine, vantage asrel.ASN, prefixes []netip.Prefix, u *bgp.Update) {
 	for _, pfx := range prefixes {
 		key := ribKey{vantage, pfx}
-		idx, activated, ok := e.d.Admit(&u.Attrs, pfx)
+		idx, activated, ok := e.d.Admit(&u.Attrs)
 		if activated {
-			e.activate(e.d.RecObs(idx))
+			e.activate(idx)
 		}
 		if ok && ap.metrics != nil {
 			ap.metrics.Announced.Inc()

@@ -9,6 +9,7 @@
 package valley
 
 import (
+	"iter"
 	"slices"
 
 	"hybridrel/internal/asrel"
@@ -142,53 +143,49 @@ func (s Stats) NecessaryShare() float64 {
 	return float64(s.Necessary) / float64(s.Valley)
 }
 
-// Classify checks every path and returns per-path kinds alongside the
-// aggregate statistics.
-func Classify(paths []*dataset.PathObs, rels *intern.Table) ([]Kind, Stats) {
-	kinds := make([]Kind, len(paths))
-	var st Stats
-	st.Total = len(paths)
-	for i, p := range paths {
+// Classify checks every path of one walk and returns per-path kinds,
+// in walk order, alongside the aggregate statistics.
+func Classify(paths iter.Seq[*dataset.PathObs], rels *intern.Table) ([]Kind, Stats) {
+	kinds, st, _ := classify(paths, rels)
+	return kinds, st
+}
+
+// classify is Classify, also returning the (vantage, origin) of every
+// valley path, vantage in the high half, so sorting groups each
+// vantage's paths into one run.
+func classify(paths iter.Seq[*dataset.PathObs], rels *intern.Table) (kinds []Kind, st Stats, ends []uint64) {
+	for p := range paths {
 		k := Check(p.Path, rels)
-		kinds[i] = k
+		kinds = append(kinds, k)
+		st.Total++
 		switch k {
 		case KindValleyFree:
 			st.ValleyFree++
 		case KindValley:
 			st.Valley++
+			// A valley verdict implies a path of ≥3 ASes, so the origin
+			// always exists here; the guard keeps a malformed PathObs
+			// from being counted rather than panicking.
+			if origin, ok := p.Origin(); ok {
+				ends = append(ends, uint64(p.Vantage)<<32|uint64(origin))
+			}
 		default:
 			st.Unclassified++
 		}
 	}
-	return kinds, st
+	return kinds, st, ends
 }
 
 // Assess runs the full taxonomy: classification plus the necessity test
-// for every valley path. Necessity is evaluated on g annotated with
-// rels under *lenient* semantics — links with an unknown relationship
-// act as peerings — so a path counts as necessary only when no
-// valley-free alternative exists even granting the unclassified links
-// their benign interpretation. The edges are annotated once, and one
-// valley-free BFS per distinct vantage answers all of its valley paths
-// from the BFS's distance array.
-func Assess(paths []*dataset.PathObs, rels *intern.Table, g *topology.Graph) ([]Kind, Stats) {
-	kinds, st := Classify(paths, rels)
-	// (vantage, origin) of every valley path, vantage in the high half,
-	// so sorting groups each vantage's paths into one run.
-	var ends []uint64
-	for i, p := range paths {
-		if kinds[i] != KindValley {
-			continue
-		}
-		// A valley verdict implies a path of ≥3 ASes, so the origin
-		// always exists here; the guard keeps a malformed PathObs from
-		// being counted rather than panicking.
-		origin, ok := p.Origin()
-		if !ok {
-			continue
-		}
-		ends = append(ends, uint64(p.Vantage)<<32|uint64(origin))
-	}
+// for every valley path, in one walk. Necessity is evaluated on g
+// annotated with rels under *lenient* semantics — links with an unknown
+// relationship act as peerings — so a path counts as necessary only
+// when no valley-free alternative exists even granting the
+// unclassified links their benign interpretation. The edges are
+// annotated once, and one valley-free BFS per distinct vantage answers
+// all of its valley paths from the BFS's distance array.
+func Assess(paths iter.Seq[*dataset.PathObs], rels *intern.Table, g *topology.Graph) ([]Kind, Stats) {
+	kinds, st, ends := classify(paths, rels)
 	if len(ends) == 0 {
 		return kinds, st
 	}

@@ -1,6 +1,7 @@
 package valley
 
 import (
+	"slices"
 	"testing"
 
 	"hybridrel/internal/asrel"
@@ -111,7 +112,7 @@ func TestClassifyStats(t *testing.T) {
 		pathObs(2, 1, 4, 5), // valley: peer then peer
 		pathObs(1, 2, 9),    // unclassified
 	}
-	kinds, st := Classify(paths, tb)
+	kinds, st := Classify(slices.Values(paths), tb)
 	if st.Total != 4 || st.ValleyFree != 2 || st.Valley != 1 || st.Unclassified != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -136,7 +137,7 @@ func TestAssessNecessity(t *testing.T) {
 	g := topology.FromLinks(nil, tb.Keys())
 
 	leakPath := pathObs(1, 7, 2, 20) // down to 7, up to 2, down to 20
-	kinds, st := Assess([]*dataset.PathObs{leakPath}, intern.FromTable(tb), g)
+	kinds, st := Assess(slices.Values([]*dataset.PathObs{leakPath}), intern.FromTable(tb), g)
 	if kinds[0] != KindValley {
 		t.Fatalf("leak path kind = %s", kinds[0])
 	}
@@ -150,7 +151,7 @@ func TestAssessNecessity(t *testing.T) {
 	// Restore the direct peering: the same valley path becomes
 	// unnecessary.
 	tb.Set(1, 2, asrel.P2P)
-	_, st2 := Assess([]*dataset.PathObs{leakPath}, intern.FromTable(tb), topology.FromLinks(nil, tb.Keys()))
+	_, st2 := Assess(slices.Values([]*dataset.PathObs{leakPath}), intern.FromTable(tb), topology.FromLinks(nil, tb.Keys()))
 	if st2.Valley != 1 || st2.Necessary != 0 {
 		t.Errorf("after peering restored: %+v", st2)
 	}
@@ -191,7 +192,7 @@ func TestAssessManyVantages(t *testing.T) {
 		pathObs(1, 7, 3),         // necessary: 1 only descends, and 3 sits above 7
 		pathObs(3, 7, 2, 20),     // the third path again: still not necessary
 	}
-	kinds, st := Assess(paths, tb, g)
+	kinds, st := Assess(slices.Values(paths), tb, g)
 	for i, k := range kinds {
 		if k != KindValley {
 			t.Fatalf("path %d (%v) is %s, want a valley", i, paths[i].Path, k)

@@ -11,7 +11,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"iter"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,10 +49,23 @@ func seedSequential(t testing.TB, w *World) *Analysis {
 	return core.Analyze(d4, d6, community.FromIRR(objs), core.DefaultOptions())
 }
 
+// clonePaths copies every path a walk yields, so two walks can be
+// compared after both have ended.
+func clonePaths(paths iter.Seq[*dataset.PathObs]) []dataset.PathObs {
+	var out []dataset.PathObs
+	for p := range paths {
+		q := *p
+		q.Path = slices.Clone(p.Path)
+		q.Communities = slices.Clone(p.Communities)
+		out = append(out, q)
+	}
+	return out
+}
+
 // assertIdentical compares every derived product of two analyses.
 func assertIdentical(t *testing.T, label string, want, got *Analysis) {
 	t.Helper()
-	if !reflect.DeepEqual(want.D6.Paths(), got.D6.Paths()) {
+	if !reflect.DeepEqual(clonePaths(want.D6.Paths()), clonePaths(got.D6.Paths())) {
 		t.Errorf("%s: IPv6 path sets differ", label)
 	}
 	if !reflect.DeepEqual(want.D4.Links(), got.D4.Links()) {
